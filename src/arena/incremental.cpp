@@ -183,7 +183,8 @@ double candidate_evaluator::base_value() {
   sweep_stats& stats = provider_.mutable_stats();
   session& ses = *session_;
   const topology::game_params& p = provider_.params();
-  const lazy_prob_rows rows(work_, p.s, p.basis, provider_.active());
+  const lazy_prob_rows rows(work_, provider_.rank_table(work_.node_count()),
+                            p.basis, provider_.active());
 
   const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
@@ -273,7 +274,8 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   }
 
   toggle_diff(set, /*on=*/true);
-  const lazy_prob_rows rows(work_, p.s, p.basis, provider_.active());
+  const lazy_prob_rows rows(work_, provider_.rank_table(work_.node_count()),
+                            p.basis, provider_.active());
   const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
   ++stats.support_bfs;
   arena_counters::get().support_bfs.add();

@@ -69,6 +69,11 @@ void utility_provider::set_player_params(
   per_player_ = std::move(per_player);
 }
 
+const dist::zipf_table& utility_provider::rank_table(std::size_t n) const {
+  if (rank_table_.max_rank() < n) rank_table_ = dist::zipf_table(params_.s, n);
+  return rank_table_;
+}
+
 graph::betweenness_options utility_provider::backend_for(
     std::size_t n) const {
   graph::betweenness_options backend;
@@ -107,7 +112,8 @@ topology::utility_breakdown utility_provider::evaluate(
   const std::uint64_t swept = swept_sources(backend, g.node_count() - 1);
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
-  const lazy_prob_rows rows(g, params_.s, params_.basis, active_);
+  const lazy_prob_rows rows(g, rank_table(g.node_count()), params_.basis,
+                            active_);
   // One O(n + m) freeze buys the whole sweep flat-array locality; the frozen
   // view is bitwise-equivalent to the adjacency path on every backend, so
   // every pinned result upstream is unchanged.
@@ -133,7 +139,8 @@ std::vector<double> utility_provider::node_scores(
   const std::uint64_t swept = swept_sources(backend, g.node_count());
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
-  const lazy_prob_rows rows(g, params_.s, params_.basis, active_);
+  const lazy_prob_rows rows(g, rank_table(g.node_count()), params_.basis,
+                            active_);
   const graph::csr_graph frozen = graph::freeze(g);
   const graph::betweenness_result bw = graph::weighted_betweenness(
       frozen,

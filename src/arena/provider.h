@@ -100,23 +100,29 @@ struct sweep_stats {
 
 /// Lazily materialised p_trans rows: the sampled backend only ever asks for
 /// its pivot sources (plus the evaluated node's own row for E_fees), so
-/// computing rows on demand keeps an evaluation at O(k * n log n) instead
-/// of the O(n^2 log n) full matrix. Shared with arena/incremental.cpp so
-/// both evaluation paths materialise byte-identical rows.
+/// computing rows on demand keeps an evaluation at O(m + k * n) — one
+/// in-degree scan at construction, then O(n + max_degree) per row through
+/// dist::sender_row's rank core — instead of the full O(n^2) matrix.
+/// Shared with arena/incremental.cpp so both evaluation paths materialise
+/// byte-identical rows. Distinct rows may be requested concurrently (the
+/// parallel sweep workers each own their sources); the graph and `table`
+/// must outlive the object and stay unchanged while it is in use.
 class lazy_prob_rows {
  public:
   /// `active` restricts the receiver universe to masked-in nodes
   /// (dist::transaction_probabilities' mask-aware overload); nullptr — the
-  /// only value the static arena ever passes — delegates to the historical
-  /// unmasked path bit for bit.
-  lazy_prob_rows(const graph::digraph& g, double s, dist::rank_basis basis,
+  /// only value the static arena ever passes — ranks every other node.
+  /// `table` must cover node_count - 1 ranks.
+  lazy_prob_rows(const graph::digraph& g, const dist::zipf_table& table,
+                 dist::rank_basis basis,
                  const std::vector<char>* active = nullptr)
-      : g_(g), s_(s), basis_(basis), active_(active), rows_(g.node_count()),
+      : g_(g), table_(table), basis_(basis), active_(active),
+        in_deg_(dist::in_degrees(g)), rows_(g.node_count()),
         ready_(g.node_count(), 0) {}
 
   const std::vector<double>& row(graph::node_id u) const {
     if (!ready_[u]) {
-      rows_[u] = dist::transaction_probabilities(g_, u, s_, basis_, active_);
+      rows_[u] = dist::sender_row(g_, in_deg_, u, table_, basis_, active_);
       ready_[u] = 1;
     }
     return rows_[u];
@@ -124,9 +130,10 @@ class lazy_prob_rows {
 
  private:
   const graph::digraph& g_;
-  double s_;
+  const dist::zipf_table& table_;
   dist::rank_basis basis_;
   const std::vector<char>* active_;
+  std::vector<std::size_t> in_deg_;
   mutable std::vector<std::vector<double>> rows_;
   mutable std::vector<char> ready_;
 };
@@ -200,6 +207,12 @@ class utility_provider {
     return p;
   }
 
+  /// The r^-s table every p_trans row of an n-node graph reads. Built on
+  /// first use and rebuilt only when a larger graph needs more ranks, then
+  /// read-only while rows are built — so, like the ledgers below, it
+  /// assumes one evaluating caller at a time.
+  [[nodiscard]] const dist::zipf_table& rank_table(std::size_t n) const;
+
   /// Backend the provider would use for an n-node graph (threshold switch).
   [[nodiscard]] graph::betweenness_options backend_for(std::size_t n) const;
   [[nodiscard]] bool sampled_at(std::size_t n) const {
@@ -249,6 +262,7 @@ class utility_provider {
   mutable std::uint64_t evaluations_ = 0;
   mutable sweep_stats stats_;
   mutable std::shared_ptr<base_dag_cache> dag_cache_;
+  mutable dist::zipf_table rank_table_;
 };
 
 }  // namespace lcg::arena

@@ -1,8 +1,12 @@
 #include "runner/fixtures.h"
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "util/error.h"
 
 namespace lcg::runner {
@@ -87,6 +91,79 @@ const std::vector<std::string>& topology_names() {
   static const std::vector<std::string> names{
       "star", "path", "cycle", "complete", "grid", "ba", "er", "ws"};
   return names;
+}
+
+namespace {
+constexpr std::size_t max_recipe_nodes = 10'000'000;
+}  // namespace
+
+std::string snapshot_recipe_path(const std::string& dir) {
+  return (std::filesystem::path(dir) / "recipe.txt").string();
+}
+
+snapshot_recipe read_snapshot_recipe(const std::string& dir) {
+  const std::string path = snapshot_recipe_path(dir);
+  std::ifstream in(path);
+  if (!in) throw error("snapshot recipe " + path + " cannot be opened");
+  snapshot_recipe recipe;
+  bool seen_n = false, seen_attach = false, seen_balance = false,
+       seen_seed = false;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    const std::string where = path + ":" + std::to_string(line_no);
+    std::istringstream fields(line.substr(0, line.find('#')));
+    std::string key;
+    if (!(fields >> key)) continue;
+    const auto parse = [&](auto& value, bool& seen) {
+      if (!(fields >> value)) throw error(where + ": bad value for " + key);
+      seen = true;
+    };
+    if (key == "generator") {
+      if (!(fields >> recipe.generator))
+        throw error(where + ": bad value for generator");
+    } else if (key == "n") {
+      parse(recipe.n, seen_n);
+    } else if (key == "attach") {
+      parse(recipe.attach, seen_attach);
+    } else if (key == "balance") {
+      parse(recipe.balance, seen_balance);
+    } else if (key == "seed") {
+      parse(recipe.seed, seen_seed);
+    } else {
+      throw error(where + ": unknown key '" + key + "'");
+    }
+    std::string extra;
+    if (fields >> extra) throw error(where + ": trailing '" + extra + "'");
+  }
+  if (recipe.generator != "ba")
+    throw error(path + ": generator must be 'ba', got '" + recipe.generator +
+                "'");
+  if (!seen_n || !seen_attach || !seen_balance || !seen_seed)
+    throw error(path + ": needs n, attach, balance and seed");
+  // The node count sizes the generator's allocations: cap it (a negative
+  // value read into an unsigned field also lands above the cap).
+  if (recipe.attach == 0 || recipe.n <= recipe.attach ||
+      recipe.n > max_recipe_nodes || !(recipe.balance >= 0.0))
+    throw error(path + ": needs " + std::to_string(max_recipe_nodes) +
+                " >= n > attach >= 1 and balance >= 0");
+  return recipe;
+}
+
+graph::digraph build_snapshot(const snapshot_recipe& recipe) {
+  rng gen(recipe.seed);
+  return graph::barabasi_albert(recipe.n, recipe.attach, gen, recipe.balance);
+}
+
+graph::digraph load_snapshot_fixture(const std::string& dir) {
+  for (const char* file : {"nodes.csv", "channels.csv", "edges.csv"}) {
+    const std::filesystem::path csv = std::filesystem::path(dir) / file;
+    if (!std::filesystem::exists(csv))
+      throw error("snapshot fixture file " + csv.string() +
+                  " is missing; regenerate the fixture from its recipe " +
+                  snapshot_recipe_path(dir) + " with `make_snapshot " + dir +
+                  "`");
+  }
+  return graph::read_csv_snapshot(dir);
 }
 
 }  // namespace lcg::runner

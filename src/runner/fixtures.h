@@ -9,6 +9,7 @@
 #ifndef LCG_RUNNER_FIXTURES_H
 #define LCG_RUNNER_FIXTURES_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +56,44 @@ struct join_instance {
 
 /// The topology names make_topology accepts (for --list / sweeps).
 [[nodiscard]] const std::vector<std::string>& topology_names();
+
+// --- committed CSV snapshot fixtures ---------------------------------------
+//
+// A fixture directory (data/snapshots/<name>/) holds graph/io's three CSV
+// files next to the `recipe.txt` they were generated from, so the bytes can
+// be neither lost nor hand-edited silently: a test rebuilds every fixture
+// from its recipe and byte-compares, and `make_snapshot <dir>` rewrites the
+// CSVs from the recipe. The recipe is `key value` lines ('#' comments):
+//
+//   generator ba      Barabási–Albert (the only generator so far)
+//   n 400             node count
+//   attach 2          edges per arriving node
+//   balance 10        balance of every channel direction
+//   seed 400          rng seed of the generator
+
+/// A parsed recipe.txt.
+struct snapshot_recipe {
+  std::string generator;
+  std::size_t n = 0;
+  std::size_t attach = 0;
+  double balance = 0.0;
+  std::uint64_t seed = 0;
+};
+
+/// `<dir>/recipe.txt`.
+[[nodiscard]] std::string snapshot_recipe_path(const std::string& dir);
+
+/// Parses `<dir>/recipe.txt`. Throws lcg::error naming the file (and line)
+/// when it is missing, malformed, incomplete or names an unknown generator.
+[[nodiscard]] snapshot_recipe read_snapshot_recipe(const std::string& dir);
+
+/// The graph a recipe describes; write_csv_snapshot of it gives the
+/// committed bytes.
+[[nodiscard]] graph::digraph build_snapshot(const snapshot_recipe& recipe);
+
+/// read_csv_snapshot(dir), except that a missing CSV file fails with an
+/// lcg::error naming the recipe to regenerate the fixture from.
+[[nodiscard]] graph::digraph load_snapshot_fixture(const std::string& dir);
 
 }  // namespace lcg::runner
 

@@ -1121,7 +1121,7 @@ std::vector<result_row> run_snapshot_host(const scenario_context& ctx) {
   const std::string dir = name.find('/') != std::string::npos
                               ? name
                               : std::string(LCG_SNAPSHOT_DIR "/") + name;
-  const graph::digraph g = graph::read_csv_snapshot(dir);
+  const graph::digraph g = load_snapshot_fixture(dir);
   const graph::csr_graph frozen = graph::freeze(g);
 
   const std::size_t max_degree = max_channel_degree(g);
@@ -1586,7 +1586,7 @@ std::size_t register_builtin_scenarios() {
            "committed CSV snapshot host: load, freeze, sampled centrality",
            {{"snapshot", strings({"ba400"})}, {"pivots", ints({64})}},
            run_snapshot_host,
-           "1",
+           "2",
            {"nodes", "channels", "edges", "max_degree", "mean_degree", "hub",
             "hub_ecc", "reachable_share", "hub_bt_share", "top_bt_share"}});
     return true;

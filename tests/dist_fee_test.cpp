@@ -98,7 +98,7 @@ TEST(AverageFee, TruncatedExponentialMatchesMean) {
 TEST(AverageFee, RejectsOddPanels) {
   const constant_fee fee(1.0);
   const uniform_tx_size sizes(1.0);
-  EXPECT_THROW(average_fee(fee, sizes, 3), precondition_error);
+  EXPECT_THROW((void)average_fee(fee, sizes, 3), precondition_error);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "arena/provider.h"
+#include "graph/generators.h"
 #include "obs/span.h"
 
 namespace lcg::obs {
@@ -245,6 +247,21 @@ TEST_F(ObsTest, SnapshotIsSortedAndComplete) {
     EXPECT_EQ(h.buckets[0], 1u);
   }
   EXPECT_TRUE(found_histo);
+}
+
+TEST_F(ObsTest, ExactEvaluationMaterialisesOneRowPerNode) {
+  // dist/compute_row counts materialised p_trans rows at the rank core. An
+  // exact-backend evaluation of u sweeps the n - 1 sources != u and reads
+  // u's own row for E_fees: exactly n rows, each built once however often
+  // the sweep workers read it.
+  const std::size_t n = 10;
+  const graph::digraph g = graph::cycle_graph(n);
+  arena::provider_options options;
+  options.threads = 2;
+  const arena::utility_provider provider(topology::game_params{}, options);
+  ASSERT_FALSE(provider.sampled_at(n));
+  (void)provider.evaluate(g, 3);
+  EXPECT_EQ(registry::global().get_counter("dist/compute_row").value(), n);
 }
 
 }  // namespace

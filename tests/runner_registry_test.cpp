@@ -206,7 +206,7 @@ TEST(Context, TypedParameterAccess) {
   EXPECT_DOUBLE_EQ(ctx.get_double("n", 0.0), 5.0);  // int promotes
   EXPECT_EQ(ctx.get_string("name", ""), "star");
   EXPECT_EQ(ctx.get_int("missing", 42), 42);
-  EXPECT_THROW(ctx.get_int("name", 0), precondition_error);
+  EXPECT_THROW((void)ctx.get_int("name", 0), precondition_error);
   EXPECT_EQ(ctx.seed(), 7u);
 }
 

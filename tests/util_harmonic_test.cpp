@@ -31,7 +31,7 @@ TEST(HarmonicRange, MatchesDifference) {
                 1e-12);
   }
   EXPECT_DOUBLE_EQ(harmonic_range(5, 4, 1.0), 0.0);  // empty range
-  EXPECT_THROW(harmonic_range(0, 3, 1.0), precondition_error);
+  EXPECT_THROW((void)harmonic_range(0, 3, 1.0), precondition_error);
 }
 
 TEST(HarmonicCache, MatchesDirect) {
