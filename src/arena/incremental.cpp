@@ -85,6 +85,8 @@ struct candidate_evaluator::session {
   std::vector<std::vector<double>> frac;   // parallel to plan.sources
   std::vector<char> frac_ready;
   std::unordered_map<graph::node_id, std::vector<std::int32_t>> peer_dist;
+  std::vector<const std::vector<std::int32_t>*> dist_added;    // bound scratch
+  std::vector<const std::vector<std::int32_t>*> dist_removed;  // bound scratch
   std::vector<double> delta;               // accumulation scratch
   std::vector<char> affected;              // per-candidate scratch
   std::vector<double> ub_src;              // per-source bound contributions
@@ -244,10 +246,17 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
     }
     return it->second;
   };
+  // Resolved once here so the bound loop over (source, target) pairs reads
+  // through pointers and never hashes (peer_dist entries are node-stable).
+  const std::vector<std::int32_t>* du = nullptr;
   if (bounding) {
-    base_dist(u_);
-    for (const graph::node_id q : removed) base_dist(q);
-    for (const graph::node_id q : added) base_dist(q);
+    du = &base_dist(u_);
+    ses.dist_removed.clear();
+    for (const graph::node_id q : removed)
+      ses.dist_removed.push_back(&base_dist(q));
+    ses.dist_added.clear();
+    for (const graph::node_id q : added)
+      ses.dist_added.push_back(&base_dist(q));
   }
 
   // Classify which plan sources the toggles can affect (both orientations
@@ -296,7 +305,6 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   // cone pairs get the full headroom w * (1 - frac). The bound phase costs
   // dot products only — not a single sweep.
   if (bounding) {
-    const std::vector<std::int32_t>& du = ses.peer_dist.at(u_);
     ses.ub_src.assign(ses.plan.sources.size(), 0.0);
     double ub_acc = 0.0;
     for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
@@ -323,16 +331,16 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
         for (graph::node_id t = 0; t < work_.node_count(); ++t) {
           if (t == u_ || t == s || w_row[t] <= 0.0) continue;
           // Exit u over base edges or through an added channel.
-          std::int64_t exit_lb = hops(du, t);
-          for (const graph::node_id q : added) {
-            exit_lb = std::min(exit_lb, 1 + hops(ses.peer_dist.at(q), t));
+          std::int64_t exit_lb = hops(*du, t);
+          for (const std::vector<std::int32_t>* dq : ses.dist_added) {
+            exit_lb = std::min(exit_lb, 1 + hops(*dq, t));
           }
           bool cone = du_lb + exit_lb <= hops(ds, t);
           for (std::size_t r = 0; !cone && r < removed.size(); ++r) {
             const graph::node_id q = removed[r];
-            const std::vector<std::int32_t>& dq = ses.peer_dist.at(q);
+            const std::vector<std::int32_t>& dq = *ses.dist_removed[r];
             cone = hops(ds, u_) + 1 + hops(dq, t) == hops(ds, t) ||
-                   hops(ds, q) + 1 + hops(du, t) == hops(ds, t);
+                   hops(ds, q) + 1 + hops(*du, t) == hops(ds, t);
           }
           dot += w_row[t] * (cone ? 1.0 : frac[t]);
         }

@@ -59,8 +59,8 @@ struct csr_sweep_view {
 /// place the per-source float operation sequence lives. Both the full-sweep
 /// engine (compute_contribution) and the public source_dependencies entry
 /// run exactly this, which is what makes DAG-reuse bitwise-equal. The DAG's
-/// pred lists hold the view's edge keys (shortest_path_dag of the matching
-/// graph representation).
+/// pred(v) spans hold the view's edge keys (shortest_path_dag of the
+/// matching graph representation).
 template <typename View>
 void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
                          const pair_weight_fn& w,
@@ -71,7 +71,7 @@ void accumulate_over_dag(const View& view, const sp_dag& dag, node_id s,
     const node_id v = *it;
     if (v == s) continue;
     const double through = w(s, v) + delta[v];
-    for (const edge_id e : dag.pred[v]) {
+    for (const edge_id e : dag.pred(v)) {
       const node_id u = view.src_of(e);
       const double contribution = dag.sigma[u] / dag.sigma[v] * through;
       // Each edge key appears in exactly one pred list at most once, so
@@ -387,7 +387,7 @@ bool toggle_affects_source(const std::vector<std::int32_t>& dist,
   const std::int32_t db = dist[t.dst];
   if (da == unreachable) return false;  // tail never reached: edge unscanned
   if (t.added) return db == unreachable || da + 1 <= db;
-  return db == da + 1;  // removal: exactly the pred[dst] membership test
+  return db == da + 1;  // removal: exactly the pred(dst) membership test
 }
 
 std::vector<double> through_fractions(const digraph& g, const sp_dag& dag,
@@ -401,7 +401,7 @@ std::vector<double> through_fractions(const digraph& g, const sp_dag& dag,
   for (const node_id v : dag.order) {
     if (v == u || dag.dist[v] <= dag.dist[u]) continue;
     double via = 0.0;
-    for (const edge_id e : dag.pred[v]) via += psi[g.edge_at(e).src];
+    for (const edge_id e : dag.pred(v)) via += psi[g.edge_at(e).src];
     psi[v] = via;
     if (via > 0.0) frac[v] = via / dag.sigma[v];
   }

@@ -205,10 +205,10 @@ struct edge_toggle {
 ///  * added edge (a, b): only matters when a is reachable and the new arc
 ///    could create a shortest path into b, i.e. dist[b] == unreachable or
 ///    dist[a] + 1 <= dist[b]. Otherwise BFS scans-and-rejects it (b already
-///    settled strictly closer), leaving dist/sigma/pred/order bit-identical.
+///    settled strictly closer), leaving dist/sigma/pred_*/order bit-identical.
 ///  * removed edge (a, b): only matters when it sits on a shortest path,
 ///    i.e. a reachable and dist[b] == dist[a] + 1 (exactly the membership
-///    condition for pred[b]). Otherwise BFS never used it.
+///    condition for pred(b)). Otherwise BFS never used it.
 /// A FALSE verdict guarantees the toggled graph's sp_dag from s equals the
 /// base one bitwise (new edge slots append to adjacency lists, so traversal
 /// order of the surviving edges is unchanged); tests pin this on the

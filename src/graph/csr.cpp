@@ -97,34 +97,12 @@ std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
 
 sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
   LCG_EXPECTS(c.has_node(src));
-  const std::size_t n = c.node_count();
-  sp_dag result;
-  result.dist.assign(n, unreachable);
-  result.sigma.assign(n, 0.0);
-  result.pred.assign(n, {});
-  result.order.reserve(n);
-
-  std::queue<node_id> frontier;
-  result.dist[src] = 0;
-  result.sigma[src] = 1.0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
-    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
-      const node_id w = c.edge_dst(k);
-      if (result.dist[w] == unreachable) {
-        result.dist[w] = result.dist[v] + 1;
-        frontier.push(w);
-      }
-      if (result.dist[w] == result.dist[v] + 1) {
-        result.sigma[w] += result.sigma[v];
-        result.pred[w].push_back(k);  // packed index, not original edge id
-      }
-    }
-  }
-  return result;
+  // Keys are packed indices, not original edge ids.
+  return detail::sweep_sp_dag(
+      c.node_count(), c.edge_count(), src, [&c](node_id v, auto&& visit) {
+        for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k)
+          visit(k, c.edge_dst(k));
+      });
 }
 
 bucket_sssp_result bucket_dijkstra(const csr_graph& c, node_id src,

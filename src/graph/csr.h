@@ -137,8 +137,8 @@ class csr_graph {
 
 /// Brandes front-end over the flat view. The returned sp_dag is
 /// field-for-field bitwise equal to the digraph overload's EXCEPT that
-/// `pred` holds PACKED indices (map through edge_slot() to compare); dist,
-/// sigma and order match the digraph's exactly.
+/// `pred_edge` holds PACKED indices (map through edge_slot() to compare);
+/// dist, sigma, order and pred_begin match the digraph's exactly.
 [[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
 
 /// Dial bucket-queue single-source shortest paths for small non-negative

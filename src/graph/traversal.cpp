@@ -1,6 +1,7 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 
 namespace lcg::graph {
@@ -26,34 +27,26 @@ std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
 
 sp_dag shortest_path_dag(const digraph& g, node_id src) {
   LCG_EXPECTS(g.has_node(src));
-  const std::size_t n = g.node_count();
-  sp_dag result;
-  result.dist.assign(n, unreachable);
-  result.sigma.assign(n, 0.0);
-  result.pred.assign(n, {});
-  result.order.reserve(n);
+  return detail::sweep_sp_dag(
+      g.node_count(), g.edge_count(), src, [&g](node_id v, auto&& visit) {
+        g.for_each_out(v, [&](edge_id e, const edge& ed) { visit(e, ed.dst); });
+      });
+}
 
-  std::queue<node_id> frontier;
-  result.dist[src] = 0;
-  result.sigma[src] = 1.0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
-    g.for_each_out(v, [&](edge_id e, const edge& ed) {
-      const node_id w = ed.dst;
-      if (result.dist[w] == unreachable) {
-        result.dist[w] = result.dist[v] + 1;
-        frontier.push(w);
-      }
-      if (result.dist[w] == result.dist[v] + 1) {
-        result.sigma[w] += result.sigma[v];
-        result.pred[w].push_back(e);
-      }
-    });
-  }
-  return result;
+void group_by_head(std::size_t n, const std::vector<dag_edge>& found,
+                   std::vector<std::uint32_t>& pred_begin,
+                   std::vector<edge_id>& pred_edge) {
+  LCG_EXPECTS(found.size() <= std::numeric_limits<std::uint32_t>::max());
+  // Counts land one slot ahead of their head (begin[w + 2]), so after the
+  // prefix sum begin[w + 1] is w's first offset and serves as its write
+  // cursor; once every key is placed, begin[w + 1] has advanced to w's end,
+  // i.e. (w + 1)'s start, and begin[0 .. n] are the final offsets.
+  pred_begin.assign(n + 2, 0);
+  for (const dag_edge& de : found) ++pred_begin[de.first + 2];
+  for (std::size_t v = 2; v < n + 2; ++v) pred_begin[v] += pred_begin[v - 1];
+  pred_edge.resize(found.size());
+  for (const auto& [w, key] : found) pred_edge[pred_begin[w + 1]++] = key;
+  pred_begin.pop_back();
 }
 
 std::vector<std::vector<std::int32_t>> all_pairs_distances(const digraph& g) {
@@ -73,7 +66,7 @@ std::vector<node_id> shortest_path(const digraph& g, node_id src,
   node_id v = dst;
   path.push_back(v);
   while (v != src) {
-    const edge_id e = dag.pred[v].front();
+    const edge_id e = dag.pred(v).front();
     v = g.edge_at(e).src;
     path.push_back(v);
   }

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -26,17 +28,83 @@ inline constexpr std::int32_t unreachable = -1;
                                                       node_id src);
 
 /// Result of a single-source shortest-path-DAG computation.
+///
+/// The predecessor DAG is stored flat, CSR style: the shortest-path in-edges
+/// of v are pred_edge[pred_begin[v] .. pred_begin[v + 1]), read through
+/// pred(v). A sweep therefore allocates a fixed handful of arrays, never one
+/// per node. Grouping contract: each pred(v) lists its edge keys in BFS
+/// DISCOVERY order, the order in which the sweep scanned them (tail in
+/// `order`, then the tail's adjacency order). The backward accumulations
+/// iterate pred(v) in that order, so their float operation sequence is
+/// fixed by the graph alone.
 struct sp_dag {
-  std::vector<std::int32_t> dist;          // hop distance or `unreachable`
-  std::vector<double> sigma;               // number of shortest paths from src
-  std::vector<std::vector<edge_id>> pred;  // DAG: shortest-path in-edges of v
-  std::vector<node_id> order;              // nodes in non-decreasing distance
+  std::vector<std::int32_t> dist;         // hop distance or `unreachable`
+  std::vector<double> sigma;              // number of shortest paths from src
+  std::vector<std::uint32_t> pred_begin;  // n + 1 offsets into pred_edge
+  std::vector<edge_id> pred_edge;         // DAG edge keys, grouped by head
+  std::vector<node_id> order;             // nodes in non-decreasing distance
+
+  /// Shortest-path in-edges of v, in discovery order.
+  [[nodiscard]] std::span<const edge_id> pred(node_id v) const {
+    return {pred_edge.data() + pred_begin[v],
+            pred_edge.data() + pred_begin[v + 1]};
+  }
 };
 
 /// BFS from `src` computing distances, path counts and the predecessor DAG.
 /// sigma is stored as double: path counts grow exponentially with graph
 /// size and only the ratios sigma_sv/sigma_sw are consumed downstream.
 [[nodiscard]] sp_dag shortest_path_dag(const digraph& g, node_id src);
+
+/// One DAG edge as a sweep discovers it: (head node, edge key).
+using dag_edge = std::pair<node_id, edge_id>;
+
+/// Stable counting sort of `found` (discovery order) by head into the flat
+/// pred_begin / pred_edge arrays of an n-node DAG, O(n + |found|). Stability
+/// is the grouping contract of sp_dag: keys sharing a head keep discovery
+/// order. Shared by both shortest_path_dag kernels and by sweeps that build
+/// their own DAG (pcn::network's capacity-filtered path sampler).
+void group_by_head(std::size_t n, const std::vector<dag_edge>& found,
+                   std::vector<std::uint32_t>& pred_begin,
+                   std::vector<edge_id>& pred_edge);
+
+namespace detail {
+
+/// The Brandes front-end shared by both graph representations. `scan(v,
+/// visit)` must call visit(key, w) for every active out-edge v -> w in the
+/// representation's adjacency order; `m` is the active edge count (an upper
+/// bound on DAG edges). `order` doubles as the FIFO queue: nodes are popped
+/// in exactly the order they were pushed.
+template <typename Scan>
+sp_dag sweep_sp_dag(std::size_t n, std::size_t m, node_id src, Scan&& scan) {
+  sp_dag r;
+  r.dist.assign(n, unreachable);
+  r.sigma.assign(n, 0.0);
+  r.order.reserve(n);
+  std::vector<dag_edge> found;
+  found.reserve(m);
+  r.dist[src] = 0;
+  r.sigma[src] = 1.0;
+  r.order.push_back(src);
+  for (std::size_t popped = 0; popped < r.order.size(); ++popped) {
+    const node_id v = r.order[popped];
+    const std::int32_t next = r.dist[v] + 1;
+    scan(v, [&](edge_id key, node_id w) {
+      if (r.dist[w] == unreachable) {
+        r.dist[w] = next;
+        r.order.push_back(w);
+      }
+      if (r.dist[w] == next) {
+        r.sigma[w] += r.sigma[v];
+        found.emplace_back(w, key);
+      }
+    });
+  }
+  group_by_head(n, found, r.pred_begin, r.pred_edge);
+  return r;
+}
+
+}  // namespace detail
 
 /// All-pairs hop distances (n BFS runs), dist[s][t].
 [[nodiscard]] std::vector<std::vector<std::int32_t>> all_pairs_distances(

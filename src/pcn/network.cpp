@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 
 #include "graph/dijkstra.h"
 #include "graph/traversal.h"
@@ -177,7 +178,7 @@ std::vector<graph::edge_id> network::feasible_path(graph::node_id sender,
   const std::size_t n = g_.node_count();
   std::vector<std::int32_t> dist(n, graph::unreachable);
   std::vector<double> sigma(n, 0.0);
-  std::vector<std::vector<graph::edge_id>> pred(n);
+  std::vector<graph::dag_edge> found;  // grouped into pred lists below
   std::queue<graph::node_id> frontier;
   dist[sender] = 0;
   sigma[sender] = 1.0;
@@ -195,20 +196,24 @@ std::vector<graph::edge_id> network::feasible_path(graph::node_id sender,
       }
       if (dist[ed.dst] == dist[v] + 1) {
         sigma[ed.dst] += sigma[v];
-        pred[ed.dst].push_back(e);
+        found.emplace_back(ed.dst, e);
       }
     });
   }
   if (dist[receiver] == graph::unreachable) return {};
+  std::vector<std::uint32_t> pred_begin;
+  std::vector<graph::edge_id> pred_edge;
+  graph::group_by_head(n, found, pred_begin, pred_edge);
   std::vector<graph::edge_id> path;
   graph::node_id v = receiver;
   std::vector<double> weights;
   while (v != sender) {
+    const std::span<const graph::edge_id> pred(
+        pred_edge.data() + pred_begin[v], pred_edge.data() + pred_begin[v + 1]);
     weights.clear();
-    for (const graph::edge_id e : pred[v])
+    for (const graph::edge_id e : pred)
       weights.push_back(sigma[g_.edge_at(e).src]);
-    const graph::edge_id e =
-        pred[v][tie_breaker->discrete(weights)];
+    const graph::edge_id e = pred[tie_breaker->discrete(weights)];
     path.push_back(e);
     v = g_.edge_at(e).src;
   }

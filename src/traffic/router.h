@@ -47,17 +47,10 @@ class balance_view {
     return csr_;
   }
 
-  /// The balance `sender` believes edge `e` (with endpoint data `ed`) has.
-  [[nodiscard]] double believed(graph::edge_id e, const graph::edge& ed,
-                                graph::node_id sender) const {
-    if (fresh_ || ed.src == sender) return ed.capacity;
-    return believed_[e];
-  }
-
-  /// Same belief, keyed by original edge id + its source node (the CSR
-  /// routing path, which doesn't hold a graph::edge). Live balances are
-  /// looked up in the network; the frozen capacities are NOT used (they are
-  /// a snapshot of construction time, balances move every payment).
+  /// The balance `sender` believes edge `e` (original edge id, source node
+  /// `src`) has. Live balances are looked up in the network; the frozen
+  /// capacities are NOT used (they are a snapshot of construction time,
+  /// balances move every payment).
   [[nodiscard]] double believed(graph::edge_id e, graph::node_id src,
                                 graph::node_id sender) const {
     if (fresh_ || src == sender)

@@ -24,6 +24,8 @@
 
 #include <cmath>
 #include <memory>
+#include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -506,7 +508,8 @@ TEST(BetweennessToggle, UnaffectedSourceDagsAreBitwiseStable) {
                                 " s=" + std::to_string(s);
         EXPECT_EQ(fresh.dist, base[s].dist) << ctx;
         EXPECT_EQ(fresh.sigma, base[s].sigma) << ctx;
-        EXPECT_EQ(fresh.pred, base[s].pred) << ctx;
+        EXPECT_EQ(fresh.pred_begin, base[s].pred_begin) << ctx;
+        EXPECT_EQ(fresh.pred_edge, base[s].pred_edge) << ctx;
         EXPECT_EQ(fresh.order, base[s].order) << ctx;
       }
       // The sequence continues from the toggled graph.
@@ -627,6 +630,139 @@ TEST(BetweennessInvariant, BackendNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Flat predecessor layout: sp_dag stores the DAG as pred_begin offsets into
+// one pred_edge array. The nested-vector sweep below is the reference it
+// replaced; every pred(v) must equal that reference's list element for
+// element (same keys, same discovery order), with dist, sigma and order
+// bitwise equal, on both graph representations.
+// ---------------------------------------------------------------------------
+
+/// The nested layout: one push_back list per head node, filled in BFS
+/// discovery order.
+struct naive_dag {
+  std::vector<std::int32_t> dist;
+  std::vector<double> sigma;
+  std::vector<std::vector<edge_id>> pred;
+  std::vector<node_id> order;
+};
+
+naive_dag naive_shortest_path_dag(const digraph& g, node_id src) {
+  const std::size_t n = g.node_count();
+  naive_dag result;
+  result.dist.assign(n, unreachable);
+  result.sigma.assign(n, 0.0);
+  result.pred.assign(n, {});
+  std::queue<node_id> frontier;
+  result.dist[src] = 0;
+  result.sigma[src] = 1.0;
+  frontier.push(src);
+  while (!frontier.empty()) {
+    const node_id v = frontier.front();
+    frontier.pop();
+    result.order.push_back(v);
+    g.for_each_out(v, [&](edge_id e, const edge& ed) {
+      const node_id w = ed.dst;
+      if (result.dist[w] == unreachable) {
+        result.dist[w] = result.dist[v] + 1;
+        frontier.push(w);
+      }
+      if (result.dist[w] == result.dist[v] + 1) {
+        result.sigma[w] += result.sigma[v];
+        result.pred[w].push_back(e);
+      }
+    });
+  }
+  return result;
+}
+
+/// `got` against the naive reference; `slot` maps got's edge keys to
+/// digraph edge ids (identity for the digraph kernel, edge_slot for CSR).
+template <typename Slot>
+void expect_flat_matches_naive(const sp_dag& got, const naive_dag& want,
+                               Slot slot, const std::string& ctx) {
+  const std::size_t n = want.dist.size();
+  ASSERT_EQ(got.pred_begin.size(), n + 1) << ctx;
+  EXPECT_EQ(got.pred_begin.front(), 0u) << ctx;
+  EXPECT_EQ(got.pred_begin[n], got.pred_edge.size()) << ctx;
+  EXPECT_EQ(got.dist, want.dist) << ctx;
+  EXPECT_EQ(got.sigma, want.sigma) << ctx;
+  EXPECT_EQ(got.order, want.order) << ctx;
+  for (node_id v = 0; v < n; ++v) {
+    const std::span<const edge_id> pred = got.pred(v);
+    ASSERT_EQ(pred.size(), want.pred[v].size()) << ctx << " v=" << v;
+    for (std::size_t i = 0; i < pred.size(); ++i) {
+      EXPECT_EQ(slot(pred[i]), want.pred[v][i]) << ctx << " v=" << v
+                                                << " i=" << i;
+    }
+  }
+}
+
+/// Both kernels from every source of g against the naive reference.
+void expect_flat_layout_everywhere(const digraph& g, const std::string& ctx) {
+  const csr_graph frozen = freeze(g);
+  for (node_id s = 0; s < g.node_count(); ++s) {
+    const naive_dag want = naive_shortest_path_dag(g, s);
+    const std::string at = ctx + " s=" + std::to_string(s);
+    expect_flat_matches_naive(
+        shortest_path_dag(g, s), want, [](edge_id e) { return e; },
+        at + " digraph");
+    expect_flat_matches_naive(
+        shortest_path_dag(frozen, s), want,
+        [&frozen](edge_id k) { return frozen.edge_slot(k); }, at + " csr");
+  }
+}
+
+TEST(SpDagFlatLayout, PredSpansEqualNestedReferenceOnCorpus) {
+  for (const corpus_case& c : build_corpus()) {
+    expect_flat_layout_everywhere(c.g, c.name);
+  }
+}
+
+TEST(SpDagFlatLayout, PredSpansEqualNestedReferenceOnEdgeCases) {
+  // Self-loops cannot be built (digraph::add_edge rejects them), so they
+  // never reach a sweep.
+  {
+    digraph g(2);
+    EXPECT_THROW(g.add_edge(1, 1), precondition_error);
+  }
+  {
+    // Parallel edges in both directions, with one parallel copy inactive:
+    // pred(1) holds two keys, pred(3) two, and the inactive slot none.
+    digraph g(4);
+    g.add_edge(0, 1);
+    const edge_id dead = g.add_edge(0, 1);
+    g.add_edge(0, 1);
+    g.add_edge(1, 0);
+    g.add_edge(1, 3);
+    g.add_edge(2, 3);
+    g.add_edge(0, 2);
+    g.add_edge(0, 2);
+    g.remove_edge(dead);
+    expect_flat_layout_everywhere(g, "parallel + inactive");
+    const sp_dag dag = shortest_path_dag(g, 0);
+    EXPECT_EQ(dag.pred(1).size(), 2u);
+    EXPECT_EQ(dag.pred(3).size(), 2u);
+    EXPECT_DOUBLE_EQ(dag.sigma[3], 4.0);
+  }
+  {
+    // Every slot inactive: each source reaches only itself.
+    digraph g = complete_graph(4);
+    for (edge_id e = 0; e < g.edge_slots(); ++e) g.remove_edge(e);
+    expect_flat_layout_everywhere(g, "all slots inactive");
+    const sp_dag dag = shortest_path_dag(g, 2);
+    EXPECT_TRUE(dag.pred_edge.empty());
+    EXPECT_EQ(dag.order, std::vector<node_id>{2});
+  }
+  {
+    // One-way chain: later nodes cannot reach earlier ones.
+    digraph g(5);
+    for (node_id v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1);
+    expect_flat_layout_everywhere(g, "one-way chain");
+  }
+  expect_flat_layout_everywhere(digraph(1), "single node");
+}
+
+// ---------------------------------------------------------------------------
 // CSR axis (ISSUE 8): a frozen csr_graph view fed to any backend must
 // reproduce the adjacency-list result BITWISE — same engine template, same
 // per-node edge order, same float operation sequence — over the whole
@@ -708,6 +844,9 @@ TEST(BetweennessCsr, BitwiseStableAcrossToggleRefreezeSequences) {
         expect_bitwise_result(weighted_betweenness(frozen, c.w, options),
                               weighted_betweenness(g, c.w, options), context);
       }
+      // Both kernels' flat DAGs still match the nested reference.
+      expect_flat_layout_everywhere(g,
+                                    c.name + " step=" + std::to_string(step));
     }
   }
 }

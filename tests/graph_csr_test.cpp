@@ -182,13 +182,14 @@ TEST(GraphCsr, ShortestPathDagMatchesDigraphBitwise) {
     ASSERT_EQ(got.sigma.size(), want.sigma.size());
     for (std::size_t v = 0; v < want.sigma.size(); ++v)
       EXPECT_EQ(got.sigma[v], want.sigma[v]) << "sigma mismatch at " << v;
-    // pred holds packed indices; mapping through edge_slot recovers the
-    // digraph's pred lists element for element.
-    ASSERT_EQ(got.pred.size(), want.pred.size());
-    for (std::size_t v = 0; v < want.pred.size(); ++v) {
-      ASSERT_EQ(got.pred[v].size(), want.pred[v].size());
-      for (std::size_t i = 0; i < want.pred[v].size(); ++i)
-        EXPECT_EQ(c.edge_slot(got.pred[v][i]), want.pred[v][i]);
+    // pred_edge holds packed indices; the offsets match exactly, and
+    // mapping through edge_slot recovers the digraph's pred lists element
+    // for element.
+    ASSERT_EQ(got.pred_begin, want.pred_begin);
+    for (node_id v = 0; v < g.node_count(); ++v) {
+      ASSERT_EQ(got.pred(v).size(), want.pred(v).size());
+      for (std::size_t i = 0; i < want.pred(v).size(); ++i)
+        EXPECT_EQ(c.edge_slot(got.pred(v)[i]), want.pred(v)[i]);
     }
   }
 }

@@ -49,7 +49,7 @@ TEST(SpDag, CountsShortestPathsInDiamond) {
   EXPECT_EQ(dag.dist[3], 2);
   EXPECT_DOUBLE_EQ(dag.sigma[3], 2.0);
   EXPECT_DOUBLE_EQ(dag.sigma[1], 1.0);
-  EXPECT_EQ(dag.pred[3].size(), 2u);
+  EXPECT_EQ(dag.pred(3).size(), 2u);
   // Order is non-decreasing in distance.
   for (std::size_t i = 1; i < dag.order.size(); ++i)
     EXPECT_LE(dag.dist[dag.order[i - 1]], dag.dist[dag.order[i]]);
