@@ -16,10 +16,11 @@ namespace lcg::traffic {
 namespace {
 
 /// Per-payment instrumentation is limited to what stays cheap at >10^6
-/// payments: one gauge move per dispatch/complete and one histogram
-/// record per routed attempt / delivery (each a single relaxed load when
-/// obs is disabled). Event-grained counters flush once per run from the
-/// traffic_metrics ledger instead of firing per event.
+/// payments: one gauge move per dispatch/complete and histogram records
+/// per route search (nodes visited, hops when found) and per delivery
+/// (each site a single relaxed load when obs is disabled). Event-grained
+/// counters flush once per run from the run's own tallies (the
+/// traffic_metrics ledger, route_searches_) instead of firing per event.
 struct traffic_obs {
   obs::counter& attempt;
   obs::counter& deliver;
@@ -32,9 +33,11 @@ struct traffic_obs {
   obs::counter& refresh_gossip;
   obs::counter& reset_balance;
   obs::counter& reject_infeasible;
+  obs::counter& route_search;
   obs::gauge& inflight;
   obs::histogram& latency;
   obs::histogram& route_length;
+  obs::histogram& route_visited;
   static const traffic_obs& get() {
     auto& reg = obs::registry::global();
     static const traffic_obs t{
@@ -49,12 +52,16 @@ struct traffic_obs {
         reg.get_counter("traffic/refresh_gossip"),
         reg.get_counter("traffic/reset_balance"),
         reg.get_counter("traffic/reject_infeasible"),
+        reg.get_counter("traffic/route_search"),
         reg.get_gauge("traffic/inflight_payments"),
         reg.get_histogram("traffic/payment_latency",
                           {1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
                            1, 2, 5, 10, 100}),
         reg.get_histogram("traffic/route_length",
                           {1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32}),
+        reg.get_histogram("traffic/route_visited",
+                          {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096,
+                           16384, 65536}),
     };
     return t;
   }
@@ -123,6 +130,7 @@ class traffic_run {
     t.refresh_gossip.add(metrics_.gossip_refreshes);
     t.reset_balance.add(metrics_.balance_resets);
     t.reject_infeasible.add(metrics_.infeasible_input);
+    t.route_search.add(route_searches_);
   }
 
   payment_state& at(std::uint32_t slot) { return payments_[slot]; }
@@ -193,14 +201,18 @@ class traffic_run {
     payment_state& p = at(slot);
     p.route = find_route(net_, view_, p.sender, p.receiver, p.amount,
                          p.excluded);
+    ++route_searches_;
     p.locked_hops = 0;
+    if (obs::enabled()) {
+      const traffic_obs& t = traffic_obs::get();
+      t.route_visited.record(static_cast<double>(view_.last_visited()));
+      if (!p.route.empty())
+        t.route_length.record(static_cast<double>(p.route.size()));
+    }
     if (p.route.empty()) {
       fail_attempt(time, slot, fail_reason::no_route);
       return;
     }
-    if (obs::enabled())
-      traffic_obs::get().route_length.record(
-          static_cast<double>(p.route.size()));
     p.phase = payment_phase::forwarding;
     const std::uint64_t ref = payment_ref(slot, p.generation);
     push({time, 0, event_kind::forward, ref, p.attempt, 0});
@@ -365,6 +377,7 @@ class traffic_run {
   std::vector<std::uint32_t> free_;
   std::deque<std::uint32_t> waiting_;
   std::size_t inflight_ = 0;
+  std::uint64_t route_searches_ = 0;  ///< find_route calls this run
 };
 
 }  // namespace

@@ -15,10 +15,36 @@
 // exclusions from the retry policy. With a fresh view and no exclusions it
 // returns exactly the path execute_payment would take, which is what the
 // degenerate-equivalence test pins (tests/traffic_engine_test.cpp).
+//
+// Layout. The view freezes the topology to a CSR once and keeps the belief
+// in CSR *packed* order (`believed_[k]` is the balance of packed edge k), so
+// the BFS reads a row's destinations and balances as two sequential runs.
+// The sender's own row is scanned first, once, on live balances; every
+// later row reads the belief. That is exact, not an approximation: the
+// sender is marked seen before the search starts, so its row is never
+// scanned again. A fresh view keeps no belief and reads live balances on
+// every row.
+//
+// Scratch. find_route allocates nothing but the returned route: the view
+// owns per-node `seen` stamps, packed parent ids and a flat FIFO, plus
+// per-packed-edge `barred` stamps that the `excluded` list is mapped onto
+// (through an edge-id -> packed-id table built once). A search bumps one
+// stamp instead of clearing, and a full reset happens only when the stamp
+// wraps. Because find_route writes that scratch, a view — even a const one
+// — serves ONE thread at a time; concurrent searches need a view each.
+//
+// Why routes are unchanged against the plain BFS (one n-sized `seen` and
+// `parent` per call, std::find over `excluded`, stop when the receiver is
+// seen): the rows are scanned in the same order with the same three tests
+// (seen, `balance < amount` — NaN balances pass, as before — and barred),
+// so every node gets the same parent; the search stops as soon as the
+// receiver is discovered, whose parent chain is already fixed by then.
+// tests/traffic_router_test.cpp keeps that plain BFS as the reference.
 
 #ifndef LCG_TRAFFIC_ROUTER_H
 #define LCG_TRAFFIC_ROUTER_H
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/csr.h"
@@ -47,28 +73,50 @@ class balance_view {
     return csr_;
   }
 
-  /// The balance `sender` believes edge `e` (original edge id, source node
-  /// `src`) has. Live balances are looked up in the network; the frozen
-  /// capacities are NOT used (they are a snapshot of construction time,
-  /// balances move every payment).
-  [[nodiscard]] double believed(graph::edge_id e, graph::node_id src,
-                                graph::node_id sender) const {
-    if (fresh_ || src == sender)
-      return net_->topology().edge_at(e).capacity;
-    return believed_[e];
+  /// Nodes whose rows the last find_route on this view scanned (the
+  /// sender's included; 0 when sender == receiver).
+  [[nodiscard]] std::size_t last_visited() const noexcept {
+    return scratch_.visited;
   }
 
  private:
+  friend std::vector<graph::edge_id> find_route(
+      const pcn::network& net, const balance_view& view,
+      graph::node_id sender, graph::node_id receiver, double amount,
+      const std::vector<graph::edge_id>& excluded);
+
+  using packed_id = graph::csr_graph::packed_id;
+
+  /// Per-search state, reused across calls (see the header comment).
+  struct search_scratch {
+    std::vector<std::uint32_t> seen;    // stamp per node
+    std::vector<packed_id> parent;      // packed edge into each seen node
+    std::vector<graph::node_id> queue;  // BFS FIFO, read by a head index
+    std::vector<std::uint32_t> barred;  // stamp per packed edge
+    std::uint32_t stamp = 0;
+    std::size_t visited = 0;
+  };
+
+  template <bool Fresh>
+  std::vector<graph::edge_id> search(
+      graph::node_id sender, graph::node_id receiver, double amount,
+      const std::vector<graph::edge_id>& excluded) const;
+
   const pcn::network* net_;
   bool fresh_;
-  graph::csr_graph csr_;          // frozen topology (structure, not balances)
-  std::vector<double> believed_;  // by edge id; empty when fresh
+  graph::csr_graph csr_;             // frozen topology (structure, not balances)
+  std::vector<packed_id> packed_of_; // edge id -> packed id; npos if inactive
+  std::vector<double> believed_;     // by packed id; empty when fresh
   std::uint64_t refreshes_ = 0;
+  mutable search_scratch scratch_;
 };
 
 /// First-found shortest path from `sender` to `receiver` whose every edge
 /// has believed balance >= `amount` and is not in `excluded` (a small,
-/// per-payment list). Empty when none exists.
+/// per-payment list; ids that are out of range or inactive are ignored).
+/// Empty when none exists or sender == receiver. Requires both nodes in
+/// range, amount > 0, and `net` to be the network `view` was built from.
+/// Writes the view's scratch: one thread per view.
 [[nodiscard]] std::vector<graph::edge_id> find_route(
     const pcn::network& net, const balance_view& view, graph::node_id sender,
     graph::node_id receiver, double amount,

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/registry.h"
 #include "sim/engine.h"
 #include "traffic/retry.h"
 #include "util/error.h"
@@ -328,6 +329,42 @@ TEST(TrafficEngine, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(a.lock_failures, b.lock_failures);
   EXPECT_EQ(a.gossip_refreshes, b.gossip_refreshes);
   EXPECT_EQ(a.fees_earned, b.fees_earned);
+}
+
+TEST(TrafficEngine, RouteSearchObsCountsEverySearch) {
+  // Every attempt — first tries, immediate exclude re-routes, delayed
+  // backoff retries and queued dispatches — runs exactly one route
+  // search: the flushed counter and the per-search histogram both equal
+  // attempted + retries.
+  obs::registry& reg = obs::registry::global();
+  const auto run = [&](retry_kind kind) {
+    pcn::network net = cycle_network(10, 15.0);
+    const auto demand = uniform_demand(net.topology(), 20.0);
+    const dist::uniform_tx_size sizes(2.0);
+    sim::workload_generator wl(demand, sizes, 99);
+    traffic_config tc;
+    tc.horizon = 40.0;
+    tc.hop_latency = 0.05;
+    tc.htlc_timeout = 2.0;
+    tc.gossip_refresh = 1.0;
+    tc.retry.kind = kind;
+    tc.max_inflight = 4;
+    reg.reset();
+    reg.enable(true);
+    const traffic_metrics m = run_traffic(net, wl, tc);
+    reg.enable(false);
+    const obs::histogram& visited =
+        reg.get_histogram("traffic/route_visited", {});
+    EXPECT_GT(m.retries, 0u);
+    EXPECT_EQ(reg.get_counter("traffic/route_search").value(),
+              m.attempted + m.retries);
+    EXPECT_EQ(visited.count(), m.attempted + m.retries);
+    EXPECT_GE(visited.max(), 1.0);
+    EXPECT_LE(visited.max(), 10.0);  // never more nodes than the host has
+    reg.reset();
+  };
+  run(retry_kind::exclude);
+  run(retry_kind::backoff);
 }
 
 TEST(TrafficEngine, ZeroHorizonDoesNothing) {
