@@ -45,7 +45,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arena/engine.h"
@@ -125,7 +124,6 @@ void write_json(const std::string& path,
     std::cerr << "bench_arena: cannot open '" << path << "'\n";
     std::exit(1);
   }
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   os << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const bench_record& r = records[i];
@@ -144,9 +142,9 @@ void write_json(const std::string& path,
        << ", \"converged\": " << (r.converged ? 1 : 0)
        << ", \"joins\": " << r.joins << ", \"leaves\": " << r.leaves
        << ", \"conservation_gap\": " << r.conservation_gap
-       << ", \"final_shape\": \"" << r.final_shape << "\""
-       << ", \"host_hw_threads\": " << hardware
-       << ", \"obs\": {\"arena/sweep_full\": " << r.sweeps.full_sweeps
+       << ", \"final_shape\": \"" << r.final_shape << "\"";
+    bench::write_host_fields(os);
+    os << ", \"obs\": {\"arena/sweep_full\": " << r.sweeps.full_sweeps
        << ", \"arena/build_forest\": " << r.sweeps.forest
        << ", \"arena/resweep_source\": " << r.sweeps.resweeps
        << ", \"arena/accumulate_source\": " << r.sweeps.accumulations

@@ -13,20 +13,19 @@
 // the comparison to BENCH_betweenness.json so the performance trajectory is
 // tracked across PRs:
 //
-//   [{"n":..., "edges":..., "backend":"parallel", "graph":"csr",
-//     "threads":8, "pivots":0, "obs":{"graph/sweep_source_parallel":...},
+//   [{"n":..., "edges":..., "backend":"parallel", "threads":8,
+//     "pivots":0, "host_hw_threads":..., "host_cpu":..., "compiler":...,
+//     "build_type":..., "obs":{"graph/sweep_source_parallel":...},
 //     "wall_ms":..., "speedup_vs_serial":..., "max_rel_error":...}, ...]
 //
 // The "obs" object mirrors the run's deterministic source-sweep count
 // under the runtime counter name (src/obs/), so a trace snapshot and a
 // committed bench record are comparable key for key.
 //
-// Every configuration runs PAIRED on both graph representations — the
-// mutable adjacency-list digraph ("adjacency") and the frozen flat CSR view
-// ("csr", graph/csr.h) — so the flat-array win is tracked per backend.
-// Exactness is enforced, not just reported: any parallel result that is not
-// bit-identical to serial, and any csr result that is not bit-identical to
-// its adjacency twin, aborts with exit code 1.
+// Every configuration sweeps one frozen CSR view of the host (graph/csr.h),
+// the representation every consumer runs on; the freeze is outside the
+// timed region. Exactness is enforced, not just reported: any parallel
+// result that is not bit-identical to serial aborts with exit code 1.
 //
 //   bench_betweenness [--smoke] [--json PATH] [--sizes n1,n2,...]
 //                     [--threads t1,t2,...] [--repeat R]
@@ -39,7 +38,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_timing.h"
@@ -57,7 +55,6 @@ struct bench_record {
   std::size_t n = 0;
   std::size_t edges = 0;
   std::string backend;
-  std::string graph = "adjacency";  // "adjacency" | "csr"
   std::size_t threads = 1;
   std::size_t pivots = 0;
   /// Single-source sweeps one run performs — deterministic (n for the
@@ -126,18 +123,14 @@ void write_json(const std::string& path,
     std::cerr << "bench_betweenness: cannot open '" << path << "'\n";
     std::exit(1);
   }
-  // host_hw_threads records the machine the numbers came from: a 1-core
-  // host cannot show parallel speedup, and trajectory comparisons across
-  // PRs are only meaningful between records with matching hardware.
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   os << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const bench_record& r = records[i];
     os << "  {\"n\": " << r.n << ", \"edges\": " << r.edges
-       << ", \"backend\": \"" << r.backend << "\", \"graph\": \"" << r.graph
-       << "\", \"threads\": " << r.threads << ", \"pivots\": " << r.pivots
-       << ", \"host_hw_threads\": " << hardware
-       << ", \"obs\": {\"graph/sweep_source_" << r.backend
+       << ", \"backend\": \"" << r.backend << "\", \"threads\": " << r.threads
+       << ", \"pivots\": " << r.pivots;
+    bench::write_host_fields(os);
+    os << ", \"obs\": {\"graph/sweep_source_" << r.backend
        << "\": " << r.swept_sources << "}"
        << ", \"wall_ms\": " << r.wall_ms
        << ", \"speedup_vs_serial\": " << r.speedup_vs_serial
@@ -149,81 +142,59 @@ void write_json(const std::string& path,
 
 int run(const bench_config& config) {
   std::vector<bench_record> records;
-  table t({"n", "edges", "backend", "graph", "threads", "pivots", "wall ms",
+  table t({"n", "edges", "backend", "threads", "pivots", "wall ms",
            "speedup", "max rel err"});
   bool exactness_ok = true;
 
   for (const std::size_t n : config.sizes) {
     rng gen(n);
-    const graph::digraph g = graph::barabasi_albert(n, 2, gen);
-    const graph::csr_graph frozen = graph::freeze(g);
+    const graph::csr_graph host =
+        graph::freeze(graph::barabasi_albert(n, 2, gen));
     const auto w = [](graph::node_id, graph::node_id) { return 1.0; };
 
-    const auto record = [&](const char* backend, const char* graph_kind,
-                            std::size_t threads, std::size_t pivots,
-                            double wall, double serial_wall, double err) {
+    // One timed configuration; the baseline every speedup is measured
+    // against is serial (serial_wall == 0 marks the serial run itself).
+    const auto measure = [&](const char* backend, std::size_t threads,
+                             std::size_t pivots,
+                             const graph::betweenness_options& options,
+                             double serial_wall,
+                             const graph::betweenness_result* exact)
+        -> std::pair<graph::betweenness_result, double> {
+      graph::betweenness_result got;
+      const double wall = bench::best_of_ms(
+          config.repeat,
+          [&] { return graph::weighted_betweenness(host, w, options); }, &got);
       bench_record r;
       r.n = n;
-      r.edges = g.edge_count();
+      r.edges = host.edge_count();
       r.backend = backend;
-      r.graph = graph_kind;
       r.threads = threads;
       r.pivots = pivots;
       // Exact backends sweep every source; sampled sweeps its pivots.
       r.swept_sources = pivots > 0 ? pivots : n;
       r.wall_ms = wall;
-      r.speedup_vs_serial = wall > 0.0 ? serial_wall / wall : 0.0;
-      r.max_rel_error = err;
+      const double base = serial_wall > 0.0 ? serial_wall : wall;
+      r.speedup_vs_serial = wall > 0.0 ? base / wall : 0.0;
+      r.max_rel_error = exact ? max_rel_error(*exact, got) : 0.0;
       records.push_back(r);
       t.add_row({static_cast<long long>(n),
-                 static_cast<long long>(g.edge_count()), std::string(backend),
-                 std::string(graph_kind), static_cast<long long>(threads),
+                 static_cast<long long>(r.edges), std::string(backend),
+                 static_cast<long long>(threads),
                  static_cast<long long>(pivots), wall, r.speedup_vs_serial,
-                 err});
-    };
-
-    // Every configuration runs paired: adjacency first (the baseline every
-    // speedup is measured against is ADJACENCY serial), then the frozen
-    // view, which must reproduce the adjacency result bitwise.
-    const auto paired = [&](const char* backend, std::size_t threads,
-                            std::size_t pivots,
-                            const graph::betweenness_options& options,
-                            double serial_wall,
-                            const graph::betweenness_result* exact)
-        -> std::pair<graph::betweenness_result, double> {
-      graph::betweenness_result adj;
-      const double adj_ms = bench::best_of_ms(
-          config.repeat,
-          [&] { return graph::weighted_betweenness(g, w, options); }, &adj);
-      graph::betweenness_result csr;
-      const double csr_ms = bench::best_of_ms(
-          config.repeat,
-          [&] { return graph::weighted_betweenness(frozen, w, options); },
-          &csr);
-      if (!bit_identical(adj, csr)) {
-        std::cerr << "bench_betweenness: csr run (backend=" << backend
-                  << ", threads=" << threads << ", pivots=" << pivots
-                  << ", n=" << n
-                  << ") is NOT bit-identical to its adjacency twin\n";
-        exactness_ok = false;
-      }
-      const double base = serial_wall > 0.0 ? serial_wall : adj_ms;
-      const double err_adj = exact ? max_rel_error(*exact, adj) : 0.0;
-      record(backend, "adjacency", threads, pivots, adj_ms, base, err_adj);
-      record(backend, "csr", threads, pivots, csr_ms, base, err_adj);
-      return {std::move(adj), adj_ms};
+                 r.max_rel_error});
+      return {std::move(got), wall};
     };
 
     graph::betweenness_options serial_options;
     auto [serial, serial_ms] =
-        paired("serial", 1, 0, serial_options, 0.0, nullptr);
+        measure("serial", 1, 0, serial_options, 0.0, nullptr);
 
     for (const std::size_t threads : config.threads) {
       graph::betweenness_options options;
       options.backend = graph::betweenness_backend::parallel;
       options.threads = threads;
       const auto [parallel, parallel_ms] =
-          paired("parallel", threads, 0, options, serial_ms, &serial);
+          measure("parallel", threads, 0, options, serial_ms, &serial);
       if (!bit_identical(serial, parallel)) {
         std::cerr << "bench_betweenness: parallel backend (threads="
                   << threads << ", n=" << n
@@ -239,13 +210,12 @@ int run(const bench_config& config) {
       options.threads = 1;  // isolate sampling speedup from threading
       options.sample_pivots = pivots;
       options.rng_seed = 0x5eed0000 + n;
-      paired("sampled", 1, pivots, options, serial_ms, &serial);
+      measure("sampled", 1, pivots, options, serial_ms, &serial);
     }
   }
 
-  std::cout << "E16 / betweenness backend comparison (BA hosts, attach 2; "
-            << "parallel must be bit-identical to serial, csr to "
-            << "adjacency)\n";
+  std::cout << "E16 / betweenness backend comparison (BA hosts, attach 2, "
+            << "frozen CSR view; parallel must be bit-identical to serial)\n";
   t.print(std::cout);
   write_json(config.json_path, records);
   std::cout << records.size() << " record(s) -> " << config.json_path << "\n";

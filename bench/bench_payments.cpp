@@ -11,6 +11,7 @@
 //   [{"n":..., "channels":..., "topology":"ws", "retry":"exclude",
 //     "gossip_refresh":1, "payments":..., "delivered":...,
 //     "success_rate":..., "events":..., "host_hw_threads":...,
+//     "host_cpu":..., "compiler":..., "build_type":...,
 //     "obs":{"traffic/attempt_payment":..., ...},
 //     "wall_ms":..., "payments_per_sec":...}, ...]
 //
@@ -29,7 +30,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arena/export.h"
@@ -96,7 +96,6 @@ void write_json(const std::string& path,
     std::cerr << "bench_payments: cannot open '" << path << "'\n";
     std::exit(1);
   }
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   os << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const bench_record& r = records[i];
@@ -109,9 +108,9 @@ void write_json(const std::string& path,
        << ", \"gossip_refresh\": 1, \"payments\": " << r.payments
        << ", \"delivered\": " << r.delivered
        << ", \"success_rate\": " << r.success_rate
-       << ", \"events\": " << r.events
-       << ", \"host_hw_threads\": " << hardware
-       << ", \"obs\": {\"traffic/attempt_payment\": " << r.metrics.attempted
+       << ", \"events\": " << r.events;
+    bench::write_host_fields(os);
+    os << ", \"obs\": {\"traffic/attempt_payment\": " << r.metrics.attempted
        << ", \"traffic/deliver_payment\": " << r.metrics.delivered
        << ", \"traffic/fail_no_route\": " << r.metrics.failed_no_route
        << ", \"traffic/fail_mid_flight\": " << r.metrics.failed_mid_flight

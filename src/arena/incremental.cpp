@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "graph/betweenness.h"
+#include "graph/csr.h"
 #include "obs/registry.h"
 #include "util/error.h"
 
@@ -46,39 +47,31 @@ std::int64_t hops(const std::vector<std::int32_t>& dist, graph::node_id v) {
   return dist[v] == graph::unreachable ? far : dist[v];
 }
 
-/// The active-edge list as an exact equality key: slot order is part of the
-/// key (it pins traversal order, which the bitwise contract depends on).
-/// Candidate slots rest inactive, so an evaluator's work graph signs
-/// identically to the base graph it was built from.
-std::vector<std::uint64_t> edge_signature(const graph::digraph& g) {
-  std::vector<std::uint64_t> sig;
-  sig.reserve(g.edge_count());
-  for (graph::node_id v = 0; v < g.node_count(); ++v) {
-    g.for_each_out(v, [&](graph::edge_id, const graph::edge& e) {
-      sig.push_back((static_cast<std::uint64_t>(v) << 32) | e.dst);
-    });
-  }
-  return sig;
-}
-
 }  // namespace
 
 /// Provider-wide cache of base-graph SSSP DAGs. A DAG from source s depends
 /// only on the graph — not on which node is being evaluated — so consecutive
 /// activations over an unchanged graph (most of a converging round) share
 /// forests across players, even though their pivot plans differ. One graph
-/// is cached at a time; the exact edge-list signature makes a stale hit
-/// impossible (no hashing of the graph itself).
+/// is cached at a time, keyed on its freeze's row offsets and destination
+/// array: together they are the exact (src, dst) sequence of the active
+/// edges in traversal order, which fixes every DAG bit and every packed key
+/// (no hashing of the graph itself, so a stale hit is impossible).
+/// Capacities and original edge ids are deliberately not part of the key:
+/// a sweep reads neither.
 struct base_dag_cache {
-  std::vector<std::uint64_t> signature;
+  std::vector<graph::csr_graph::packed_id> rows;
+  std::vector<graph::node_id> cols;
   std::unordered_map<graph::node_id, graph::sp_dag> dag;
 };
 
 /// Incremental-mode cached state, all relative to the RESTING (base) graph:
-/// the pivot plan and its SSSP forest (pointers into the provider-level
-/// cache), per-source through-fractions at u, and base BFS distance arrays
-/// from u and toggled peers (the bound cones).
+/// its freeze, the pivot plan and its SSSP forest (pointers into the
+/// provider-level cache, swept on `base`), per-source through-fractions at
+/// u, and base BFS distance arrays from u and toggled peers (the bound
+/// cones).
 struct candidate_evaluator::session {
+  graph::csr_graph base;
   graph::source_plan plan;
   std::shared_ptr<base_dag_cache> cache;
   std::vector<const graph::sp_dag*> dag;   // parallel to plan.sources
@@ -124,10 +117,13 @@ candidate_evaluator::candidate_evaluator(
         work_.node_count(), provider_.backend_for(work_.node_count()), u_);
     std::shared_ptr<base_dag_cache>& cache = provider_.mutable_dag_cache();
     if (!cache) cache = std::make_shared<base_dag_cache>();
-    std::vector<std::uint64_t> sig = edge_signature(work_);
-    if (sig != cache->signature) {
+    // Candidate slots rest inactive, so this freezes exactly the base graph.
+    session_->base = graph::freeze(work_);
+    if (session_->base.rows() != cache->rows ||
+        session_->base.cols() != cache->cols) {
       cache->dag.clear();
-      cache->signature = std::move(sig);
+      cache->rows = session_->base.rows();
+      cache->cols = session_->base.cols();
     }
     session_->cache = cache;
     session_->dag.assign(session_->plan.sources.size(), nullptr);
@@ -145,7 +141,8 @@ const graph::sp_dag& candidate_evaluator::base_dag(std::size_t i) {
     const graph::node_id s = ses.plan.sources[i];
     auto it = ses.cache->dag.find(s);
     if (it == ses.cache->dag.end()) {
-      it = ses.cache->dag.emplace(s, graph::shortest_path_dag(work_, s)).first;
+      it = ses.cache->dag.emplace(s, graph::shortest_path_dag(ses.base, s))
+               .first;
       ++provider_.mutable_stats().forest;
       arena_counters::get().forest.add();
     }
@@ -188,7 +185,7 @@ double candidate_evaluator::base_value() {
   const lazy_prob_rows rows(work_, provider_.rank_table(work_.node_count()),
                             p.basis, provider_.active());
 
-  const std::vector<std::int32_t> dist_u = graph::bfs_distances(work_, u_);
+  const std::vector<std::int32_t> dist_u = graph::bfs_distances(ses.base, u_);
   ++stats.support_bfs;
   arena_counters::get().support_bfs.add();
   const double fees = fees_of(rows.row(u_), dist_u, u_, provider_.a_of(u_));
@@ -199,7 +196,7 @@ double candidate_evaluator::base_value() {
   for (std::size_t i = 0; i < ses.plan.sources.size(); ++i) {
     const graph::node_id s = ses.plan.sources[i];
     graph::source_dependencies(
-        work_, base_dag(i), s,
+        ses.base, base_dag(i), s,
         [&rows](graph::node_id a, graph::node_id b) { return rows.row(a)[b]; },
         ses.delta);
     ++stats.accumulations;
@@ -240,7 +237,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   const auto base_dist = [&](graph::node_id v) -> const auto& {
     auto it = ses.peer_dist.find(v);
     if (it == ses.peer_dist.end()) {
-      it = ses.peer_dist.emplace(v, graph::bfs_distances(work_, v)).first;
+      it = ses.peer_dist.emplace(v, graph::bfs_distances(ses.base, v)).first;
       ++stats.support_bfs;
       arena_counters::get().support_bfs.add();
     }
@@ -283,9 +280,13 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
   }
 
   toggle_diff(set, /*on=*/true);
+  // One freeze of the toggled graph serves the fee BFS and every re-sweep.
+  // Its packed ids differ from the base freeze's wherever a toggle shifted
+  // them, so cached base DAGs are only ever accumulated over `ses.base`.
+  const graph::csr_graph toggled = graph::freeze(work_);
   const lazy_prob_rows rows(work_, provider_.rank_table(work_.node_count()),
                             p.basis, provider_.active());
-  const std::vector<std::int32_t> fee_dist = graph::bfs_distances(work_, u_);
+  const std::vector<std::int32_t> fee_dist = graph::bfs_distances(toggled, u_);
   ++stats.support_bfs;
   arena_counters::get().support_bfs.add();
   const double fees = fees_of(rows.row(u_), fee_dist, u_, provider_.a_of(u_));
@@ -311,7 +312,7 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
       const graph::node_id s = ses.plan.sources[i];
       const std::vector<double>& w_row = rows.row(s);
       if (!ses.frac_ready[i]) {
-        ses.frac[i] = graph::through_fractions(work_, *ses.dag[i], u_);
+        ses.frac[i] = graph::through_fractions(ses.base, *ses.dag[i], u_);
         ses.frac_ready[i] = 1;
       }
       const std::vector<double>& frac = ses.frac[i];
@@ -398,12 +399,12 @@ double candidate_evaluator::evaluate(const std::vector<graph::node_id>& set) {
           return potential;
         }
       }
-      const graph::sp_dag fresh = graph::shortest_path_dag(work_, s);
-      graph::source_dependencies(work_, fresh, s, w, ses.delta);
+      const graph::sp_dag fresh = graph::shortest_path_dag(toggled, s);
+      graph::source_dependencies(toggled, fresh, s, w, ses.delta);
       ++stats.resweeps;
       arena_counters::get().resweep.add();
     } else {
-      graph::source_dependencies(work_, *ses.dag[i], s, w, ses.delta);
+      graph::source_dependencies(ses.base, *ses.dag[i], s, w, ses.delta);
       ++stats.accumulations;
       arena_counters::get().accumulate.add();
     }

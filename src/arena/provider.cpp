@@ -114,9 +114,7 @@ topology::utility_breakdown utility_provider::evaluate(
   full_sweep_counter().add(swept);
   const lazy_prob_rows rows(g, rank_table(g.node_count()), params_.basis,
                             active_);
-  // One O(n + m) freeze buys the whole sweep flat-array locality; the frozen
-  // view is bitwise-equivalent to the adjacency path on every backend, so
-  // every pinned result upstream is unchanged.
+  // One O(n + m) freeze serves the whole sweep and the fee BFS.
   const graph::csr_graph frozen = graph::freeze(g);
   topology::utility_breakdown out;
   out.revenue =

@@ -1,7 +1,6 @@
 #include "graph/csr.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -49,8 +48,8 @@ csr_graph freeze(const digraph& g) {
   c.cap_.reserve(m);
   c.orig_.reserve(m);
   for (node_id v = 0; v < n; ++v) {
-    // The digraph's active out-edge order IS the frozen order — the pin
-    // every bitwise-equivalence guarantee in this module rests on.
+    // The digraph's active out-edge order IS the frozen order, which fixes
+    // every sweep's float operation sequence as a function of the digraph.
     g.for_each_out(v, [&](edge_id e, const edge& ed) {
       c.col_.push_back(ed.dst);
       c.src_.push_back(v);
@@ -73,36 +72,6 @@ digraph thaw(const csr_graph& c) {
     });
   }
   return g;
-}
-
-std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
-  LCG_EXPECTS(c.has_node(src));
-  std::vector<std::int32_t> dist(c.node_count(), unreachable);
-  std::queue<node_id> frontier;
-  dist[src] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
-    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
-      const node_id w = c.edge_dst(k);
-      if (dist[w] == unreachable) {
-        dist[w] = dist[v] + 1;
-        frontier.push(w);
-      }
-    }
-  }
-  return dist;
-}
-
-sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
-  LCG_EXPECTS(c.has_node(src));
-  // Keys are packed indices, not original edge ids.
-  return detail::sweep_sp_dag(
-      c.node_count(), c.edge_count(), src, [&c](node_id v, auto&& visit) {
-        for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k)
-          visit(k, c.edge_dst(k));
-      });
 }
 
 bucket_sssp_result bucket_dijkstra(const csr_graph& c, node_id src,

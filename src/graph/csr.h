@@ -1,28 +1,27 @@
-// Flat compressed-sparse-row (CSR) read-only graph view.
+// Flat compressed-sparse-row (CSR) read-only graph view: the one
+// representation every traversal kernel walks.
 //
 // The adjacency-list digraph is the right structure for *mutation* — arena
 // moves toggle channels in place, construction appends — but its per-node
 // edge-id vectors scatter the hot read path (Brandes sweeps, BFS, routing)
-// across the heap, which ROADMAP names as the ceiling on host size for
-// 10^5–10^6-node snapshots. `csr_graph` is the frozen counterpart: one
-// contiguous `row` offset array plus parallel flat arrays (dst, src,
-// capacity, original edge id) packed in EXACTLY the digraph's active
-// out-edge order.
+// across the heap. `csr_graph` is the frozen counterpart: one contiguous
+// `row` offset array plus parallel flat arrays (dst, src, capacity,
+// original edge id) packed in EXACTLY the digraph's active out-edge order.
+// BFS (graph/traversal.h), the Brandes engine (graph/betweenness.h) and
+// the traffic router all run on it; the digraph entry points of those
+// modules freeze and forward.
 //
-// That order pin is the whole contract. Because freeze() preserves the
-// per-node adjacency sequence (out_edge_ids order with inactive slots
-// skipped), every traversal kernel below visits edges in the same order as
-// the digraph's for_each_out, so BFS frontiers, shortest-path DAGs, sigma
-// accumulation and Brandes dependency sweeps execute the identical float
-// operation sequence — results over a frozen view are BITWISE equal to the
-// adjacency-list path (tests/graph_csr_test.cpp and the CSR axis of
-// tests/graph_betweenness_property_test.cpp pin this; bench_betweenness
-// enforces it by exit code).
+// The order pin: freeze() preserves the per-node adjacency sequence
+// (out_edge_ids order with inactive slots skipped), so a traversal over a
+// view visits edges in the digraph's for_each_out order, and the float
+// operation sequence of a sweep is a function of the digraph alone
+// (tests/graph_csr_test.cpp pins the order).
 //
 // `edge_slot(k)` maps a packed index back to the ORIGINAL digraph edge id,
 // so per-edge results (betweenness_result::edge, route edge lists) keep the
-// digraph's indexing and can be compared — or handed back to mutable-side
-// code — without translation.
+// digraph's indexing and can be handed back to mutable-side code without
+// translation. Packed ids themselves are only meaningful within one view:
+// toggling an edge and re-freezing shifts the packed ids after it.
 //
 // freeze() is O(n + m) and allocation-lean; the intended pattern is: mutate
 // the digraph, freeze once, run many read-only sweeps on the view, throw it
@@ -129,17 +128,6 @@ class csr_graph {
 /// edge ids were already grouped by source node, thaw(freeze(g)) == g edge
 /// for edge.
 [[nodiscard]] digraph thaw(const csr_graph& c);
-
-/// Hop distances from `src` (same contract as the digraph overload in
-/// graph/traversal.h; bitwise-equal output).
-[[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
-                                                      node_id src);
-
-/// Brandes front-end over the flat view. The returned sp_dag is
-/// field-for-field bitwise equal to the digraph overload's EXCEPT that
-/// `pred_edge` holds PACKED indices (map through edge_slot() to compare);
-/// dist, sigma, order and pred_begin match the digraph's exactly.
-[[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
 
 /// Dial bucket-queue single-source shortest paths for small non-negative
 /// integer edge weights — the uniform-weight (hop metric) replacement for

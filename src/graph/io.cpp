@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <unordered_set>
@@ -115,10 +116,21 @@ digraph read_edge_list(std::istream& is, const edge_list_options& options) {
   ++line_no;
   std::size_t n = 0;
   {
+    // Parsed signed so "-1" is rejected rather than wrapped, and bounded so
+    // every id fits node_id before anything is allocated.
     std::istringstream header(std::string(chomp(line)));
     std::string keyword, extra;
-    if (!(header >> keyword >> n) || keyword != "nodes" || (header >> extra))
+    std::int64_t count = -1;
+    if (!(header >> keyword >> count) || keyword != "nodes" ||
+        (header >> extra))
       fail_at("edge list", line_no, "expected 'nodes <count>' header");
+    if (count < 0 ||
+        static_cast<std::uint64_t>(count) >
+            std::numeric_limits<node_id>::max())
+      fail_at("edge list", line_no,
+              "node count " + std::to_string(count) + " out of range [0, " +
+                  std::to_string(std::numeric_limits<node_id>::max()) + "]");
+    n = static_cast<std::size_t>(count);
   }
 
   digraph g(n);
@@ -137,6 +149,13 @@ digraph read_edge_list(std::istream& is, const edge_list_options& options) {
     if (src < 0 || dst < 0 || static_cast<std::size_t>(src) >= n ||
         static_cast<std::size_t>(dst) >= n)
       fail_at("edge list", line_no, "edge endpoint out of range");
+    if (src == dst)
+      fail_at("edge list", line_no,
+              "self-loop " + std::to_string(src) + " -> " +
+                  std::to_string(dst));
+    if (!std::isfinite(capacity) || capacity < 0.0)
+      fail_at("edge list", line_no,
+              "bad capacity (want a finite non-negative number)");
     if (!options.allow_parallel_edges) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(src) << 32) |
@@ -333,6 +352,10 @@ digraph read_csv_snapshot(std::istream& nodes_is, std::istream& channels_is,
                   fail_at("edges.csv", line_no,
                           "dangling node id " + std::to_string(v));
               }
+              if (rec.from == rec.to)
+                fail_at("edges.csv", line_no,
+                        "self-loop " + std::to_string(rec.from) + " -> " +
+                            std::to_string(rec.to));
               if (rec.channel < 0 ||
                   static_cast<std::size_t>(rec.channel) >= channels.size())
                 fail_at("edges.csv", line_no,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/csr.h"
 #include "graph/traversal.h"
 
 namespace lcg::graph {
@@ -33,20 +34,25 @@ bool is_strongly_connected(const digraph& g) {
   return visited == n;
 }
 
-std::int32_t eccentricity(const digraph& g, node_id v) {
-  const auto dist = bfs_distances(g, v);
+std::int32_t eccentricity(const csr_graph& c, node_id v) {
+  const auto dist = bfs_distances(c, v);
   std::int32_t ecc = 0;
-  for (node_id t = 0; t < g.node_count(); ++t) {
-    if (dist[t] == unreachable) return unreachable;
-    ecc = std::max(ecc, dist[t]);
+  for (const std::int32_t d : dist) {
+    if (d == unreachable) return unreachable;
+    ecc = std::max(ecc, d);
   }
   return ecc;
 }
 
+std::int32_t eccentricity(const digraph& g, node_id v) {
+  return eccentricity(freeze(g), v);
+}
+
 std::int32_t diameter(const digraph& g) {
+  const csr_graph c = freeze(g);
   std::int32_t diam = 0;
   for (node_id v = 0; v < g.node_count(); ++v) {
-    const std::int32_t ecc = eccentricity(g, v);
+    const std::int32_t ecc = eccentricity(c, v);
     if (ecc == unreachable) return unreachable;
     diam = std::max(diam, ecc);
   }
@@ -57,7 +63,8 @@ std::int32_t longest_shortest_path_through(const digraph& g, node_id v) {
   LCG_EXPECTS(g.has_node(v));
   const std::size_t n = g.node_count();
   // d(s, v) for all s: BFS on reverse edges from v; d(v, t): forward BFS.
-  const auto from_v = bfs_distances(g, v);
+  const csr_graph c = freeze(g);
+  const auto from_v = bfs_distances(c, v);
   std::vector<std::int32_t> to_v(n, unreachable);
   {
     std::vector<node_id> queue{v};
@@ -76,7 +83,7 @@ std::int32_t longest_shortest_path_through(const digraph& g, node_id v) {
   std::int32_t best = unreachable;
   for (node_id s = 0; s < n; ++s) {
     if (to_v[s] == unreachable) continue;
-    const auto dist_s = bfs_distances(g, s);
+    const auto dist_s = bfs_distances(c, s);
     for (node_id t = 0; t < n; ++t) {
       if (t == s || dist_s[t] == unreachable || from_v[t] == unreachable)
         continue;

@@ -15,8 +15,13 @@ namespace lcg::graph {
 /// True if every node can reach every other node over active directed edges.
 [[nodiscard]] bool is_strongly_connected(const digraph& g);
 
+class csr_graph;  // graph/csr.h
+
 /// Max hop distance from `v` to any reachable node; `unreachable` (-1) if
 /// some node cannot be reached.
+[[nodiscard]] std::int32_t eccentricity(const csr_graph& c, node_id v);
+
+/// eccentricity(freeze(g), v).
 [[nodiscard]] std::int32_t eccentricity(const digraph& g, node_id v);
 
 /// Max finite shortest-path length over all ordered pairs; `unreachable` if

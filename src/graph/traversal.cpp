@@ -4,33 +4,65 @@
 #include <limits>
 #include <queue>
 
+#include "graph/csr.h"
+
 namespace lcg::graph {
 
-std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
-  LCG_EXPECTS(g.has_node(src));
-  std::vector<std::int32_t> dist(g.node_count(), unreachable);
+std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
+  LCG_EXPECTS(c.has_node(src));
+  std::vector<std::int32_t> dist(c.node_count(), unreachable);
   std::queue<node_id> frontier;
   dist[src] = 0;
   frontier.push(src);
   while (!frontier.empty()) {
     const node_id v = frontier.front();
     frontier.pop();
-    g.for_each_out(v, [&](edge_id, const edge& e) {
-      if (dist[e.dst] == unreachable) {
-        dist[e.dst] = dist[v] + 1;
-        frontier.push(e.dst);
+    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
+      const node_id w = c.edge_dst(k);
+      if (dist[w] == unreachable) {
+        dist[w] = dist[v] + 1;
+        frontier.push(w);
       }
-    });
+    }
   }
   return dist;
 }
 
-sp_dag shortest_path_dag(const digraph& g, node_id src) {
-  LCG_EXPECTS(g.has_node(src));
-  return detail::sweep_sp_dag(
-      g.node_count(), g.edge_count(), src, [&g](node_id v, auto&& visit) {
-        g.for_each_out(v, [&](edge_id e, const edge& ed) { visit(e, ed.dst); });
-      });
+std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
+  return bfs_distances(freeze(g), src);
+}
+
+sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
+  LCG_EXPECTS(c.has_node(src));
+  const std::size_t n = c.node_count();
+  sp_dag r;
+  r.dist.assign(n, unreachable);
+  r.sigma.assign(n, 0.0);
+  r.order.reserve(n);
+  std::vector<dag_edge> found;
+  found.reserve(c.edge_count());
+  r.dist[src] = 0;
+  r.sigma[src] = 1.0;
+  r.order.push_back(src);
+  // `order` doubles as the FIFO queue: nodes are popped in exactly the
+  // order they were pushed.
+  for (std::size_t popped = 0; popped < r.order.size(); ++popped) {
+    const node_id v = r.order[popped];
+    const std::int32_t next = r.dist[v] + 1;
+    for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
+      const node_id w = c.edge_dst(k);
+      if (r.dist[w] == unreachable) {
+        r.dist[w] = next;
+        r.order.push_back(w);
+      }
+      if (r.dist[w] == next) {
+        r.sigma[w] += r.sigma[v];
+        found.emplace_back(w, k);
+      }
+    }
+  }
+  group_by_head(n, found, r.pred_begin, r.pred_edge);
+  return r;
 }
 
 void group_by_head(std::size_t n, const std::vector<dag_edge>& found,
@@ -49,25 +81,17 @@ void group_by_head(std::size_t n, const std::vector<dag_edge>& found,
   pred_begin.pop_back();
 }
 
-std::vector<std::vector<std::int32_t>> all_pairs_distances(const digraph& g) {
-  std::vector<std::vector<std::int32_t>> dist;
-  dist.reserve(g.node_count());
-  for (node_id s = 0; s < g.node_count(); ++s)
-    dist.push_back(bfs_distances(g, s));
-  return dist;
-}
-
 std::vector<node_id> shortest_path(const digraph& g, node_id src,
                                    node_id dst) {
   LCG_EXPECTS(g.has_node(src) && g.has_node(dst));
-  const sp_dag dag = shortest_path_dag(g, src);
+  const csr_graph c = freeze(g);
+  const sp_dag dag = shortest_path_dag(c, src);
   if (dag.dist[dst] == unreachable) return {};
   std::vector<node_id> path;
   node_id v = dst;
   path.push_back(v);
   while (v != src) {
-    const edge_id e = dag.pred(v).front();
-    v = g.edge_at(e).src;
+    v = c.edge_src(dag.pred(v).front());
     path.push_back(v);
   }
   std::reverse(path.begin(), path.end());

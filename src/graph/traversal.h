@@ -5,12 +5,16 @@
 // Brandes front-end: besides distances it records the number of shortest
 // paths sigma(v) and the shortest-path predecessor DAG, which both the
 // betweenness computation (Eq. 2) and the rate estimator consume.
+//
+// Every kernel here walks the frozen CSR view (graph/csr.h), the one
+// traversal representation; the mutable digraph is the builder. The digraph
+// entry points below freeze and forward. A caller running many traversals
+// over one topology freezes once and calls the CSR kernels directly.
 
 #ifndef LCG_GRAPH_TRAVERSAL_H
 #define LCG_GRAPH_TRAVERSAL_H
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -19,11 +23,17 @@
 
 namespace lcg::graph {
 
+class csr_graph;  // graph/csr.h
+
 /// Distance value for unreachable nodes.
 inline constexpr std::int32_t unreachable = -1;
 
-/// Hop distances from `src` over active edges. dist[src] = 0,
+/// Hop distances from `src` over the view's edges. dist[src] = 0,
 /// dist[v] = `unreachable` if no path exists.
+[[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
+                                                      node_id src);
+
+/// bfs_distances(freeze(g), src): hop distances over g's active edges.
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const digraph& g,
                                                       node_id src);
 
@@ -34,14 +44,19 @@ inline constexpr std::int32_t unreachable = -1;
 /// pred(v). A sweep therefore allocates a fixed handful of arrays, never one
 /// per node. Grouping contract: each pred(v) lists its edge keys in BFS
 /// DISCOVERY order, the order in which the sweep scanned them (tail in
-/// `order`, then the tail's adjacency order). The backward accumulations
-/// iterate pred(v) in that order, so their float operation sequence is
-/// fixed by the graph alone.
+/// `order`, then the tail's row order). The backward accumulations iterate
+/// pred(v) in that order, so their float operation sequence is fixed by the
+/// graph alone.
+///
+/// The keys in pred_edge are PACKED edge ids of the view the DAG was swept
+/// on: read a key's tail through that view's edge_src() and its original
+/// digraph edge id through its edge_slot(). A DAG is only meaningful
+/// together with the view it came from.
 struct sp_dag {
   std::vector<std::int32_t> dist;         // hop distance or `unreachable`
   std::vector<double> sigma;              // number of shortest paths from src
   std::vector<std::uint32_t> pred_begin;  // n + 1 offsets into pred_edge
-  std::vector<edge_id> pred_edge;         // DAG edge keys, grouped by head
+  std::vector<edge_id> pred_edge;         // packed DAG edge keys, by head
   std::vector<node_id> order;             // nodes in non-decreasing distance
 
   /// Shortest-path in-edges of v, in discovery order.
@@ -54,7 +69,7 @@ struct sp_dag {
 /// BFS from `src` computing distances, path counts and the predecessor DAG.
 /// sigma is stored as double: path counts grow exponentially with graph
 /// size and only the ratios sigma_sv/sigma_sw are consumed downstream.
-[[nodiscard]] sp_dag shortest_path_dag(const digraph& g, node_id src);
+[[nodiscard]] sp_dag shortest_path_dag(const csr_graph& c, node_id src);
 
 /// One DAG edge as a sweep discovers it: (head node, edge key).
 using dag_edge = std::pair<node_id, edge_id>;
@@ -62,53 +77,11 @@ using dag_edge = std::pair<node_id, edge_id>;
 /// Stable counting sort of `found` (discovery order) by head into the flat
 /// pred_begin / pred_edge arrays of an n-node DAG, O(n + |found|). Stability
 /// is the grouping contract of sp_dag: keys sharing a head keep discovery
-/// order. Shared by both shortest_path_dag kernels and by sweeps that build
-/// their own DAG (pcn::network's capacity-filtered path sampler).
+/// order. Shared by shortest_path_dag and by sweeps that build their own
+/// DAG (pcn::network's capacity-filtered path sampler).
 void group_by_head(std::size_t n, const std::vector<dag_edge>& found,
                    std::vector<std::uint32_t>& pred_begin,
                    std::vector<edge_id>& pred_edge);
-
-namespace detail {
-
-/// The Brandes front-end shared by both graph representations. `scan(v,
-/// visit)` must call visit(key, w) for every active out-edge v -> w in the
-/// representation's adjacency order; `m` is the active edge count (an upper
-/// bound on DAG edges). `order` doubles as the FIFO queue: nodes are popped
-/// in exactly the order they were pushed.
-template <typename Scan>
-sp_dag sweep_sp_dag(std::size_t n, std::size_t m, node_id src, Scan&& scan) {
-  sp_dag r;
-  r.dist.assign(n, unreachable);
-  r.sigma.assign(n, 0.0);
-  r.order.reserve(n);
-  std::vector<dag_edge> found;
-  found.reserve(m);
-  r.dist[src] = 0;
-  r.sigma[src] = 1.0;
-  r.order.push_back(src);
-  for (std::size_t popped = 0; popped < r.order.size(); ++popped) {
-    const node_id v = r.order[popped];
-    const std::int32_t next = r.dist[v] + 1;
-    scan(v, [&](edge_id key, node_id w) {
-      if (r.dist[w] == unreachable) {
-        r.dist[w] = next;
-        r.order.push_back(w);
-      }
-      if (r.dist[w] == next) {
-        r.sigma[w] += r.sigma[v];
-        found.emplace_back(w, key);
-      }
-    });
-  }
-  group_by_head(n, found, r.pred_begin, r.pred_edge);
-  return r;
-}
-
-}  // namespace detail
-
-/// All-pairs hop distances (n BFS runs), dist[s][t].
-[[nodiscard]] std::vector<std::vector<std::int32_t>> all_pairs_distances(
-    const digraph& g);
 
 /// One shortest path (as node sequence, src first) or empty if unreachable.
 [[nodiscard]] std::vector<node_id> shortest_path(const digraph& g, node_id src,

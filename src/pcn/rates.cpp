@@ -1,6 +1,7 @@
 #include "pcn/rates.h"
 
 #include "graph/betweenness.h"
+#include "graph/csr.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 
@@ -16,15 +17,17 @@ rate_result edge_transaction_rates(const graph::digraph& g,
 
   const auto compute = [&](const graph::digraph& host,
                            const std::vector<graph::edge_id>* edge_map) {
+    // One freeze serves the Brandes sweep and the reachability BFS loop.
+    const graph::csr_graph frozen = graph::freeze(host);
     const graph::betweenness_result b =
-        graph::weighted_betweenness(host, demand.weight_fn(), options);
+        graph::weighted_betweenness(frozen, demand.weight_fn(), options);
     for (graph::edge_id e = 0; e < b.edge.size(); ++e) {
       const graph::edge_id original = edge_map ? (*edge_map)[e] : e;
       result.edge_rate[original] = b.edge[e];
     }
     // Demand between pairs disconnected in `host` is unroutable.
     for (graph::node_id s = 0; s < host.node_count(); ++s) {
-      const auto dist_s = graph::bfs_distances(host, s);
+      const auto dist_s = graph::bfs_distances(frozen, s);
       for (graph::node_id r = 0; r < host.node_count(); ++r) {
         if (r != s && dist_s[r] == graph::unreachable)
           result.unroutable_rate += demand.pair_weight(s, r);

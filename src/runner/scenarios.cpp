@@ -1017,7 +1017,9 @@ std::vector<result_row> run_sampled_betweenness(const scenario_context& ctx) {
       static_cast<std::size_t>(ctx.get_int("exact_threshold", 4000));
 
   rng gen = ctx.make_rng();
-  const graph::digraph g = make_topology(topo_name, n, gen);
+  // Only the frozen view is kept: both sweeps run on it, and the digraph
+  // is released before either allocates its buffers.
+  const graph::csr_graph g = graph::freeze(make_topology(topo_name, n, gen));
   const graph::pair_weight_fn unit = [](graph::node_id,
                                         graph::node_id) { return 1.0; };
   graph::betweenness_options options = betweenness_options_from(ctx);
@@ -1073,10 +1075,17 @@ std::vector<result_row> run_host_properties(const scenario_context& ctx) {
   const std::string topo_name = ctx.get_string("topology", "ba");
   const auto n = static_cast<std::size_t>(ctx.get_int("n", 10000));
   rng gen = ctx.make_rng();
-  const graph::digraph g = make_topology(topo_name, n, gen);
-
-  const std::size_t max_degree = max_channel_degree(g);
-  const graph::node_id hub = graph::max_degree_node(g);
+  // Degree statistics need the digraph; the sweeps below need only its
+  // frozen view, so the digraph is released before they allocate.
+  std::size_t max_degree = 0;
+  graph::node_id hub = graph::invalid_node;
+  graph::csr_graph g;
+  {
+    const graph::digraph host = make_topology(topo_name, n, gen);
+    max_degree = max_channel_degree(host);
+    hub = graph::max_degree_node(host);
+    g = graph::freeze(host);
+  }
 
   // Betweenness concentration through the sampled backend — the whole point
   // of Brandes–Pich at this size; an exact sweep would be ~n/pivots slower.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "graph/csr.h"
 #include "graph/properties.h"
 #include "graph/traversal.h"
 #include "pcn/rates.h"
@@ -31,7 +32,8 @@ hub_path_analysis analyze_hub_path(const graph::digraph& g,
 
   // Find the (s, t) pair maximising d(s,t) among shortest paths through hub:
   // d(s, hub) + d(hub, t) == d(s, t).
-  const auto from_hub = graph::bfs_distances(g, out.hub);
+  const graph::csr_graph c = graph::freeze(g);
+  const auto from_hub = graph::bfs_distances(c, out.hub);
   std::vector<std::int32_t> to_hub(g.node_count(), graph::unreachable);
   {
     // BFS over reversed edges.
@@ -53,7 +55,7 @@ hub_path_analysis analyze_hub_path(const graph::digraph& g,
   std::int32_t best_d = -1;
   for (graph::node_id s = 0; s < g.node_count(); ++s) {
     if (to_hub[s] == graph::unreachable) continue;
-    const auto dist_s = graph::bfs_distances(g, s);
+    const auto dist_s = graph::bfs_distances(c, s);
     for (graph::node_id t = 0; t < g.node_count(); ++t) {
       if (t == s || dist_s[t] == graph::unreachable ||
           from_hub[t] == graph::unreachable)

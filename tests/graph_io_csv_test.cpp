@@ -182,6 +182,20 @@ TEST(GraphIoCsv, RejectsDanglingNodeAndChannelIds) {
   EXPECT_NE(msg.find("dangling channel id 7"), std::string::npos) << msg;
 }
 
+TEST(GraphIoCsv, RejectsSelfLoopEdgesWithLineNumber) {
+  // Used to escape as an unlocated precondition_error from
+  // digraph::add_edge after every row had been read.
+  snapshot_text t = small_snapshot();
+  t.edges =
+      "id,channel_id,counter_edge_id,from_node,to_node,balance\n"
+      "0,0,1,0,1,4\n"
+      "1,0,0,1,0,6\n"
+      "2,1,-1,2,2,2.5\n";
+  const std::string msg = read_error_of(t);
+  EXPECT_NE(msg.find("edges.csv line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("self-loop 2 -> 2"), std::string::npos) << msg;
+}
+
 TEST(GraphIoCsv, RejectsNonDenseIdsAndBrokenCounterPairs) {
   snapshot_text t = small_snapshot();
   t.nodes = "id\n0\n2\n1\n";  // out of order

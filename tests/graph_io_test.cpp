@@ -117,6 +117,36 @@ TEST(GraphIo, ReadRejectsNegativeEndpoint) {
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
 }
 
+TEST(GraphIo, ReadLocatesSelfLoopsAndNegativeCapacities) {
+  // Both used to escape as an unlocated precondition_error from
+  // digraph::add_edge; they are now rejected at their line first.
+  std::stringstream loop("nodes 3\n0 1 1.0\n1 1 2.0\n");
+  std::string msg = error_message_of([&] { (void)read_edge_list(loop); });
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("self-loop 1 -> 1"), std::string::npos) << msg;
+
+  std::stringstream negative("nodes 3\n0 1 1.0\n\n1 2 -2.0\n");
+  msg = error_message_of([&] { (void)read_edge_list(negative); });
+  EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("bad capacity"), std::string::npos) << msg;
+}
+
+TEST(GraphIo, ReadLocatesOutOfRangeNodeCounts) {
+  // A negative count used to wrap into a huge size_t and escape as
+  // std::length_error; a count past the 32-bit node_id range would have
+  // been truncated. Both are rejected before any allocation.
+  for (const char* header : {"nodes -1\n", "nodes 4294967296\n",
+                             "nodes 99999999999999\n"}) {
+    std::stringstream bad(header);
+    const std::string msg =
+        error_message_of([&] { (void)read_edge_list(bad); });
+    EXPECT_NE(msg.find("line 1"), std::string::npos) << header << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << header << msg;
+  }
+  std::stringstream zero("nodes 0\n");
+  EXPECT_EQ(read_edge_list(zero).node_count(), 0u);
+}
+
 TEST(GraphIo, DotRendersChannelsAsUndirected) {
   digraph g(3);
   g.add_bidirectional(0, 1, 4.0, 6.0);
