@@ -9,31 +9,33 @@
 //
 //   [{"family":"static", "n":..., "channels_start":..., "topology":"ws",
 //     "oracle":"greedy", "order":"round_robin", "pivots":16, "mode":"full",
-//     "rounds":..., "moves":..., "evaluations":..., "effective_sweeps":...,
-//     "pruned_candidates":..., "sweep_reduction":..., "converged":1,
-//     "joins":0, "leaves":0, "conservation_gap":0,
-//     "final_shape":"other", "obs":{"arena/sweep_full":..., ...},
+//     "threads":1, "rounds":..., "moves":..., "evaluations":...,
+//     "effective_sweeps":..., "pruned_candidates":..., "sweep_reduction":...,
+//     "converged":1, "joins":0, "leaves":0, "conservation_gap":0,
+//     "final_shape":"other", "host_hw_threads":..., "host_cpu":...,
+//     "compiler":..., "build_type":..., "obs":{"arena/sweep_full":..., ...},
 //     "wall_ms":..., "evals_per_ms":...}, ...]
 //
 // The "obs" object mirrors the run's sweep ledger under the runtime
 // metric names (src/obs/), so a trace snapshot and a committed bench
 // record are comparable key for key.
 //
-// Three families per population size (ISSUE 9): "static" (the homogeneous
-// fixed population, greedy AND local oracles), "hetero" (lognormal
-// per-player cost params through arena/population.h) and "churn" (2n/3
-// initial players, 8 joins + 8 leaves, deposit ledger tracked —
-// conservation_gap must be exactly 0).
+// Three families per population size: "static" (the homogeneous fixed
+// population, greedy AND local oracles), "hetero" (lognormal per-player
+// cost params through arena/population.h) and "churn" (2n/3 initial
+// players, 8 joins + 8 leaves, deposit ledger tracked — conservation_gap
+// must be exactly 0).
 //
-// Every configuration runs in BOTH provider modes (full, incremental) and
-// the records are emitted as adjacent pairs. The two runs must agree on
-// every observable — outcome, rounds, moves, logical evaluations, total
-// gain, final topology, churn counts, ledger — and this binary EXITS
-// NON-ZERO on any divergence, so the bench doubles as the mode-equivalence
-// gate at bench scale, now including the heterogeneous and churning paths.
-// `effective_sweeps` counts single-source DAG constructions (the metric the
-// incremental mode exists to cut); `sweep_reduction` on incremental records
-// is full/incremental for the same configuration.
+// Every configuration runs three times, emitted as adjacent records: full
+// mode, then incremental mode at provider.threads 1 and at the hardware
+// concurrency (at least 2). All three must agree on every observable —
+// outcome, rounds, moves, logical evaluations, total gain, final topology,
+// churn counts, deposit ledger — and the two incremental runs also on every
+// sweep_stats field; this binary EXITS NON-ZERO on any divergence, so the
+// bench doubles as the mode-equivalence and thread-count gate at bench
+// scale. `effective_sweeps` counts single-source DAG constructions (the
+// metric the incremental mode exists to cut); `sweep_reduction` on
+// incremental records is full/incremental for the same configuration.
 //
 // Like bench_betweenness this binary needs no google-benchmark and is built
 // unconditionally; CI runs --smoke and checks the JSON is well-formed.
@@ -72,6 +74,8 @@ struct bench_record {
   std::string order;
   std::size_t pivots = 0;
   std::string mode;
+  /// provider.threads of the run (full-mode records run at 1).
+  std::size_t threads = 1;
   std::size_t joins = 0;
   std::size_t leaves = 0;
   double conservation_gap = 0.0;
@@ -134,7 +138,7 @@ void write_json(const std::string& path,
        << ", \"topology\": \"" << r.topology << "\", \"oracle\": \""
        << r.oracle << "\", \"order\": \"" << r.order
        << "\", \"pivots\": " << r.pivots << ", \"mode\": \"" << r.mode
-       << "\", \"rounds\": " << r.rounds
+       << "\", \"threads\": " << r.threads << ", \"rounds\": " << r.rounds
        << ", \"moves\": " << r.moves << ", \"evaluations\": " << r.evaluations
        << ", \"effective_sweeps\": " << r.effective_sweeps
        << ", \"pruned_candidates\": " << r.pruned
@@ -178,14 +182,27 @@ bool equal_runs(const arena::arena_result& a, const arena::arena_result& b) {
          topology::topology_fingerprint(b.state.graph());
 }
 
+/// Every sweep_stats field: the ledger counts the serial schedule, so it
+/// must not depend on the thread budget.
+bool equal_ledgers(const arena::sweep_stats& a, const arena::sweep_stats& b) {
+  return a.full_sweeps == b.full_sweeps && a.forest == b.forest &&
+         a.resweeps == b.resweeps && a.accumulations == b.accumulations &&
+         a.support_bfs == b.support_bfs && a.pruned == b.pruned &&
+         a.truncated == b.truncated;
+}
+
 int run(const bench_config& config) {
   std::vector<bench_record> records;
-  table t({"family", "n", "channels", "oracle", "mode", "rounds", "moves",
-           "evaluations", "sweeps", "pruned", "reduction", "shape",
+  table t({"family", "n", "channels", "oracle", "mode", "threads", "rounds",
+           "moves", "evaluations", "sweeps", "pruned", "reduction", "shape",
            "wall ms"});
 
   topology::game_params params;
   params.l = 1.5;
+  // At least two, so the gate exercises the provider's pool even on a
+  // one-CPU host.
+  const std::size_t pool_threads =
+      std::max(2u, std::thread::hardware_concurrency());
 
   // The shared restricted-greedy configuration of every family.
   const auto base_options = [] {
@@ -203,17 +220,27 @@ int run(const bench_config& config) {
     return options;
   };
 
-  /// Runs a population configuration in both provider modes, appending the
-  /// paired records; false on any full/incremental divergence (dynamics,
-  /// churn counts or the deposit ledger).
-  const auto run_population_pair = [&](const std::string& family,
-                                       const graph::digraph& start,
-                                       arena::population_options popts) {
+  /// Runs one configuration in full mode, then incremental at one thread
+  /// and at `pool_threads`, appending the three records; false on any
+  /// divergence: full vs incremental on every observable (dynamics, churn
+  /// counts, active mask, deposit ledger), and the two incremental runs
+  /// additionally on every sweep_stats field. (The static family is the
+  /// degenerate population: run_arena forwards to run_population.)
+  const auto run_set = [&](const std::string& family,
+                           const graph::digraph& start,
+                           arena::population_options popts) {
     const std::size_t n = start.node_count();
+    struct variant {
+      arena::provider_mode mode;
+      std::size_t threads;
+    };
     std::vector<arena::population_result> results;
-    for (const arena::provider_mode mode :
-         {arena::provider_mode::full, arena::provider_mode::incremental}) {
-      popts.base.provider.mode = mode;
+    for (const variant v : {variant{arena::provider_mode::full, 1},
+                            variant{arena::provider_mode::incremental, 1},
+                            variant{arena::provider_mode::incremental,
+                                    pool_threads}}) {
+      popts.base.provider.mode = v.mode;
+      popts.base.provider.threads = v.threads;
       arena::population_result result;
       const double best_ms = bench::best_of_ms(
           config.repeat,
@@ -228,7 +255,8 @@ int run(const bench_config& config) {
       rec.oracle = std::string(arena::oracle_name(popts.base.oracle));
       rec.order = std::string(arena::order_name(popts.base.order));
       rec.pivots = popts.base.provider.pivots;
-      rec.mode = std::string(arena::provider_mode_name(mode));
+      rec.mode = std::string(arena::provider_mode_name(v.mode));
+      rec.threads = v.threads;
       rec.rounds = result.base.rounds;
       rec.moves = result.base.moves.size();
       rec.evaluations = result.base.evaluations;
@@ -243,16 +271,17 @@ int run(const bench_config& config) {
       rec.final_shape =
           topology::classify_topology(result.base.state.graph());
       rec.wall_ms = best_ms;
-      if (mode == arena::provider_mode::incremental &&
+      if (v.mode == arena::provider_mode::incremental &&
           rec.effective_sweeps > 0) {
-        rec.sweep_reduction =
-            static_cast<double>(records.back().effective_sweeps) /
-            static_cast<double>(rec.effective_sweeps);
+        const arena::sweep_stats& full = results.front().base.sweeps;
+        rec.sweep_reduction = static_cast<double>(full.effective_sweeps()) /
+                              static_cast<double>(rec.effective_sweeps);
       }
       records.push_back(rec);
       t.add_row({rec.family, static_cast<long long>(n),
                  static_cast<long long>(rec.channels_start), rec.oracle,
-                 rec.mode, static_cast<long long>(rec.rounds),
+                 rec.mode, static_cast<long long>(rec.threads),
+                 static_cast<long long>(rec.rounds),
                  static_cast<long long>(rec.moves),
                  static_cast<long long>(rec.evaluations),
                  static_cast<long long>(rec.effective_sweeps),
@@ -260,14 +289,32 @@ int run(const bench_config& config) {
                  rec.final_shape, rec.wall_ms});
       results.push_back(std::move(result));
     }
-    const arena::population_result& a = results[0];
-    const arena::population_result& b = results[1];
-    return equal_runs(a.base, b.base) && a.joins == b.joins &&
-           a.leaves == b.leaves && a.active == b.active &&
-           a.ledger.deposited == b.ledger.deposited &&
-           a.ledger.refunded == b.ledger.refunded &&
-           a.ledger.open_value == b.ledger.open_value &&
-           a.ledger.locked == b.ledger.locked;
+    const auto same = [](const arena::population_result& a,
+                         const arena::population_result& b) {
+      return equal_runs(a.base, b.base) && a.joins == b.joins &&
+             a.leaves == b.leaves && a.active == b.active &&
+             a.ledger.deposited == b.ledger.deposited &&
+             a.ledger.refunded == b.ledger.refunded &&
+             a.ledger.open_value == b.ledger.open_value &&
+             a.ledger.locked == b.ledger.locked;
+    };
+    const std::string_view oracle = arena::oracle_name(popts.base.oracle);
+    if (!same(results[0], results[1])) {
+      std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
+                << " family=" << family << " oracle=" << oracle
+                << " — the incremental mode must be bitwise-exact\n";
+      return false;
+    }
+    if (!same(results[1], results[2]) ||
+        !equal_ledgers(results[1].base.sweeps, results[2].base.sweeps)) {
+      std::cerr << "bench_arena: 1 vs " << pool_threads
+                << " provider threads diverge at n=" << n
+                << " family=" << family << " oracle=" << oracle
+                << " — dynamics and the sweep ledger must not depend on the "
+                   "thread budget\n";
+      return false;
+    }
+    return true;
   };
 
   for (const std::size_t n : config.sizes) {
@@ -276,66 +323,15 @@ int run(const bench_config& config) {
 
     for (const arena::oracle_kind oracle :
          {arena::oracle_kind::greedy, arena::oracle_kind::local}) {
-      arena::arena_options options = base_options();
-      options.oracle = oracle;
-
-      std::vector<arena::arena_result> results;
-      for (const arena::provider_mode mode :
-           {arena::provider_mode::full, arena::provider_mode::incremental}) {
-        options.provider.mode = mode;
-        arena::arena_result result;
-        const double best_ms = bench::best_of_ms(
-            config.repeat,
-            [&] { return arena::run_arena(start, params, options); },
-            &result);
-
-        bench_record rec;
-        rec.n = n;
-        rec.channels_start = start.edge_count() / 2;
-        rec.topology = "ws";
-        rec.oracle = std::string(arena::oracle_name(oracle));
-        rec.order = std::string(arena::order_name(options.order));
-        rec.pivots = options.provider.pivots;
-        rec.mode = std::string(arena::provider_mode_name(mode));
-        rec.rounds = result.rounds;
-        rec.moves = result.moves.size();
-        rec.evaluations = result.evaluations;
-        rec.effective_sweeps = result.sweeps.effective_sweeps();
-        rec.pruned = result.sweeps.pruned;
-        rec.sweeps = result.sweeps;
-        rec.converged =
-            result.outcome == topology::dynamics_outcome::converged;
-        rec.final_shape = topology::classify_topology(result.state.graph());
-        rec.wall_ms = best_ms;
-        if (mode == arena::provider_mode::incremental &&
-            rec.effective_sweeps > 0) {
-          rec.sweep_reduction =
-              static_cast<double>(records.back().effective_sweeps) /
-              static_cast<double>(rec.effective_sweeps);
-        }
-        records.push_back(rec);
-        t.add_row({rec.family, static_cast<long long>(n),
-                   static_cast<long long>(rec.channels_start), rec.oracle,
-                   rec.mode, static_cast<long long>(rec.rounds),
-                   static_cast<long long>(rec.moves),
-                   static_cast<long long>(rec.evaluations),
-                   static_cast<long long>(rec.effective_sweeps),
-                   static_cast<long long>(rec.pruned), rec.sweep_reduction,
-                   rec.final_shape, rec.wall_ms});
-        results.push_back(std::move(result));
-      }
-      if (!equal_runs(results[0], results[1])) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " oracle=" << arena::oracle_name(oracle)
-                  << " — the incremental mode must be bitwise-exact\n";
-        return 1;
-      }
+      arena::population_options popts;
+      popts.base = base_options();
+      popts.base.oracle = oracle;
+      if (!run_set("static", start, popts)) return 1;
     }
 
-    // Heterogeneous population (ISSUE 9): mean-preserving lognormal
+    // Heterogeneous population: mean-preserving lognormal
     // per-player (a, b, l), sigma 0.5, over the same ws start. The
-    // full/incremental equality gate now also covers the per-player
-    // evaluation path.
+    // equality gates cover the per-player evaluation path.
     {
       arena::population_options popts;
       popts.base = base_options();
@@ -345,17 +341,12 @@ int run(const bench_config& config) {
       specs.l = {dist::param_dist::lognormal, params.l, 0.5};
       rng param_stream(0x452821e638d01377ULL ^ n);
       popts.player_params = dist::draw_population(specs, n, param_stream);
-      if (!run_population_pair("hetero", start, popts)) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " family=hetero — the incremental mode must be "
-                     "bitwise-exact under per-player params\n";
-        return 1;
-      }
+      if (!run_set("hetero", start, popts)) return 1;
     }
 
-    // Churning population (ISSUE 9): 2n/3 initial players over a ws core
+    // Churning population: 2n/3 initial players over a ws core
     // (spare slots isolated), 8 joins + 8 leaves in the first half of the
-    // round budget, deposit ledger tracked. The equality gate covers the
+    // round budget, deposit ledger tracked. The equality gates cover the
     // churn counts and every ledger field; conservation_gap lands in the
     // JSON so CI can assert it is exactly 0.
     {
@@ -374,19 +365,15 @@ int run(const bench_config& config) {
       graph::digraph churn_start(n);
       for (const topology::channel_pair& ch : topology::channel_pairs(core))
         churn_start.add_bidirectional(ch.a, ch.b);
-      if (!run_population_pair("churn", churn_start, popts)) {
-        std::cerr << "bench_arena: FULL vs INCREMENTAL divergence at n=" << n
-                  << " family=churn — the incremental mode must be "
-                     "bitwise-exact under churn\n";
-        return 1;
-      }
+      if (!run_set("churn", churn_start, popts)) return 1;
     }
   }
 
   std::cout << "Arena best-response dynamics at n >> 8 (ws hosts, l=1.5; "
             << "exact provider <= 96 nodes, 16-pivot sampled above;\n"
-            << "each configuration in both provider modes, "
-            << "equality enforced)\n";
+            << "each configuration in full mode and in incremental mode at 1 "
+            << "and " << pool_threads << " provider threads, equality "
+            << "enforced)\n";
   t.print(std::cout);
   write_json(config.json_path, records);
   std::cout << records.size() << " record(s) -> " << config.json_path << "\n";

@@ -23,6 +23,16 @@
 //      Candidates whose bound cannot beat the incumbent are discarded
 //      without a single sweep. Sound because oracle comparisons are strict
 //      and the bound is only consumed BELOW the acceptance threshold.
+//   3. PARALLEL CANDIDATES — evaluate_in_order runs an oracle's whole
+//      candidate list on the provider's pool (DESIGN.md §8.4): workers
+//      pull candidates from an atomic cursor and evaluate each against the
+//      threshold of the prefix merged so far, a lower bound on the
+//      threshold the serial order would use. Results merge strictly in
+//      list order, and the merge replays the serial decision (prune,
+//      truncate or exact) from a small per-candidate record, so returned
+//      values, oracle moves and the sweep ledger are identical at every
+//      thread count; work beyond the serial schedule is counted in the obs
+//      counter arena/speculative_sweep only.
 //
 // Both provider modes run through this class: full mode degenerates to the
 // historical toggle-and-evaluate loop (provider.evaluate on the scratch
@@ -33,9 +43,11 @@
 #ifndef LCG_ARENA_INCREMENTAL_H
 #define LCG_ARENA_INCREMENTAL_H
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "arena/provider.h"
@@ -49,8 +61,9 @@ namespace lcg::arena {
 /// The scratch graph holds u's existing own channels (active — the RESTING
 /// state is the base graph) plus one DEACTIVATED edge pair per candidate
 /// addition; evaluating a set toggles only the symmetric difference to the
-/// base configuration around the provider call. Construction cost is
-/// O(|own| + |adds|) slots; no sweep happens until the first evaluation.
+/// base configuration around the provider call (a pool worker toggles its
+/// own copy of the scratch graph). Construction cost is O(|own| + |adds|)
+/// slots; no sweep happens until the first evaluation.
 class candidate_evaluator {
  public:
   /// `own` = u's current own peers, `adds` = candidate new peers (both as
@@ -79,13 +92,48 @@ class candidate_evaluator {
   /// other) must leave it at -infinity, which disables pruning.
   void set_threshold(double threshold) noexcept { threshold_ = threshold; }
 
+  /// Evaluates `sets` as the loop
+  ///
+  ///   for i in order: set_threshold(threshold);
+  ///                   threshold = accept(i, evaluate(sets[i]));
+  ///
+  /// would, with the same values passed to `accept`, the same calls in the
+  /// same order and the same sweep ledger, but in incremental mode on the
+  /// provider's pool (one dispatch per call). `accept` runs on whichever
+  /// pool thread merges candidate i, one call at a time. The thresholds it
+  /// returns must never decrease, and one that starts at -infinity must
+  /// stay there or turn NaN (both disable pruning for the whole list).
+  void evaluate_in_order(
+      std::span<const std::vector<graph::node_id>> sets, double threshold,
+      const std::function<double(std::size_t, double)>& accept);
+
  private:
   struct session;  // incremental-mode cached state (forest, fractions, BFS)
+  struct record;   // what one speculative evaluation found
 
-  void toggle_diff(const std::vector<graph::node_id>& set, bool on);
+  void toggle_diff(graph::digraph& g, const std::vector<graph::node_id>& set,
+                   bool on) const;
+  /// The candidate's toggles: own channels `set` drops, additions it makes.
+  void split_toggles(const std::vector<graph::node_id>& set,
+                     std::vector<graph::node_id>& removed,
+                     std::vector<graph::node_id>& added) const;
   /// Base DAG for plan source i — provider-cache hit or one forest sweep.
   /// Must only be called while the scratch graph is at its resting state.
   const graph::sp_dag& base_dag(std::size_t i);
+  /// Materialises, serially, all shared state evaluating `sets` reads: the
+  /// forest, the rank table and, when `bounding`, every base BFS array and
+  /// through-fraction the bound phase needs. Sizes the pool scratch.
+  void prepare(std::span<const std::vector<graph::node_id>> sets,
+               bool bounding, std::size_t participants);
+  /// One evaluation into `r` on participant scratch `p`, toggling `g`
+  /// (work_ or a private copy of it), pruning and truncating against the
+  /// current value of `threshold`. Reads shared state only.
+  void speculate(std::size_t p, graph::digraph& g,
+                 const std::vector<graph::node_id>& set,
+                 const std::atomic<double>& threshold, record& r) const;
+  /// The serial decision at `threshold` for a record taken at or below it:
+  /// its value, with the serial schedule's ledger and obs increments.
+  double replay(const record& r, double threshold);
 
   const utility_provider& provider_;
   graph::digraph work_;

@@ -141,7 +141,9 @@ std::optional<topology::deviation> local_propose(
   candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
   const double base = evaluator.base_value();
 
-  std::optional<topology::deviation> best;
+  // Today's enumeration order, collected up front so the evaluator can run
+  // the list on the provider's pool; it merges strictly in this order.
+  std::vector<std::vector<graph::node_id>> sets;
   const std::size_t remove_cap = std::min(options.max_removed, own.size());
   const std::size_t add_cap = std::min(options.max_added, adds.size());
   for (std::size_t nr = 0; nr <= remove_cap; ++nr) {
@@ -157,24 +159,30 @@ std::optional<topology::deviation> local_propose(
                   std::vector<graph::node_id> chosen = kept;
                   for (const std::size_t i : ad) chosen.push_back(adds[i]);
                   std::sort(chosen.begin(), chosen.end());
-                  // Acceptance is strict (> threshold), so the incremental
-                  // path may discard a candidate on its upper bound alone;
-                  // the returned bound then sits at or below the threshold
-                  // and both branches below stay false, exactly as the
-                  // true value would.
-                  evaluator.set_threshold(best ? base + best->gain()
-                                               : base + options.tolerance);
-                  const double value = evaluator.evaluate(chosen);
-                  if (value > base + options.tolerance &&
-                      (!best || value - base > best->gain())) {
-                    best = diff_deviation(u, own, chosen, base, value);
-                  }
+                  sets.push_back(std::move(chosen));
                   return true;
                 });
           }
           return true;
         });
   }
+
+  std::optional<topology::deviation> best;
+  const auto threshold = [&] {
+    return best ? base + best->gain() : base + options.tolerance;
+  };
+  // Acceptance is strict (> threshold), so the incremental path may discard
+  // a candidate on its upper bound alone; the value it reports then sits at
+  // or below the threshold and the test below stays false, exactly as the
+  // true value would. The threshold only rises along the list.
+  evaluator.evaluate_in_order(
+      sets, threshold(), [&](std::size_t i, double value) {
+        if (value > base + options.tolerance &&
+            (!best || value - base > best->gain())) {
+          best = diff_deviation(u, own, sets[i], base, value);
+        }
+        return threshold();
+      });
   return best;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "dist/zipf.h"
 #include "graph/csr.h"
@@ -74,6 +75,17 @@ const dist::zipf_table& utility_provider::rank_table(std::size_t n) const {
   return rank_table_;
 }
 
+worker_pool& utility_provider::pool() const {
+  if (!pool_) {
+    const std::size_t threads =
+        options_.threads != 0
+            ? options_.threads
+            : std::max(1u, std::thread::hardware_concurrency());
+    pool_ = std::make_unique<worker_pool>(threads - 1);
+  }
+  return *pool_;
+}
+
 graph::betweenness_options utility_provider::backend_for(
     std::size_t n) const {
   graph::betweenness_options backend;
@@ -108,7 +120,8 @@ topology::utility_breakdown utility_provider::evaluate(
     const graph::digraph& g, graph::node_id u) const {
   LCG_EXPECTS(g.has_node(u));
   ++evaluations_;
-  const graph::betweenness_options backend = backend_for(g.node_count());
+  graph::betweenness_options backend = backend_for(g.node_count());
+  backend.pool = &pool();
   const std::uint64_t swept = swept_sources(backend, g.node_count() - 1);
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
@@ -133,18 +146,18 @@ topology::utility_breakdown utility_provider::evaluate(
 
 std::vector<double> utility_provider::node_scores(
     const graph::digraph& g) const {
-  const graph::betweenness_options backend = backend_for(g.node_count());
+  graph::betweenness_options backend = backend_for(g.node_count());
+  backend.pool = &pool();
   const std::uint64_t swept = swept_sources(backend, g.node_count());
   stats_.full_sweeps += swept;
   full_sweep_counter().add(swept);
   const lazy_prob_rows rows(g, rank_table(g.node_count()), params_.basis,
                             active_);
   const graph::csr_graph frozen = graph::freeze(g);
-  const graph::betweenness_result bw = graph::weighted_betweenness(
+  return graph::weighted_node_betweenness(
       frozen,
       [&rows](graph::node_id s, graph::node_id t) { return rows.row(s)[t]; },
       backend);
-  return bw.node;
 }
 
 }  // namespace lcg::arena

@@ -34,10 +34,12 @@
 #include "dist/zipf.h"
 #include "graph/betweenness.h"
 #include "topology/game.h"
+#include "util/worker_pool.h"
 
 namespace lcg::arena {
 
-struct base_dag_cache;  // arena/incremental.cpp
+struct base_dag_cache;      // arena/incremental.cpp
+struct evaluation_scratch;  // arena/incremental.cpp
 
 /// The library-wide default for provider_options::exact_threshold — the one
 /// named constant scenarios reference instead of re-inventing magic numbers.
@@ -70,8 +72,12 @@ struct provider_options {
   std::size_t exact_threshold = default_exact_threshold;
   /// Pivot count of the sampled backend above the threshold.
   std::size_t pivots = 32;
-  /// Worker threads for the exact parallel / sampled backends (never
-  /// changes results; forwarded from scenario_context::threads()).
+  /// Thread budget (0 = hardware concurrency; never changes a result or
+  /// a sweep_stats field; forwarded from scenario_context::threads()). It
+  /// sizes the provider's one pool (pool()): threads - 1 workers plus the
+  /// calling thread. The exact parallel / sampled sweeps of evaluate() and
+  /// node_scores() run on it, and in incremental mode so does the local
+  /// oracle's candidate list (arena/incremental.h).
   std::size_t threads = 1;
   /// Seed of the sampled backend's pivot stream (splitmix64-expanded).
   std::uint64_t seed = 0;
@@ -80,11 +86,16 @@ struct provider_options {
 };
 
 /// The arena's sweep cost ledger: how many single-source shortest-path DAG
-/// constructions betweenness work actually performed ("effective source
-/// sweeps" — the metric BENCH_arena.json tracks), split by origin. Cheap
-/// O(n + m) accumulations over cached DAGs and the auxiliary plain BFS
-/// passes of the bound machinery are tallied separately — they are not
-/// sweeps.
+/// constructions betweenness work performed ("effective source sweeps" —
+/// the metric BENCH_arena.json tracks), split by origin. Cheap O(n + m)
+/// accumulations over cached DAGs and the auxiliary plain BFS passes of
+/// the bound machinery are tallied separately — they are not sweeps.
+///
+/// The ledger counts the SERIAL schedule: what one thread evaluating the
+/// candidates in order would do. Candidates evaluated concurrently may
+/// re-sweep sources the serial schedule prunes or truncates away; that
+/// extra work goes to the obs counter arena/speculative_sweep only, so
+/// every field here is identical at every thread count (DESIGN.md §8.4).
 struct sweep_stats {
   std::uint64_t full_sweeps = 0;     ///< full-mode per-evaluation sweeps
   std::uint64_t forest = 0;          ///< session base-forest constructions
@@ -103,10 +114,12 @@ struct sweep_stats {
 /// computing rows on demand keeps an evaluation at O(m + k * n) — one
 /// in-degree scan at construction, then O(n + max_degree) per row through
 /// dist::sender_row's rank core — instead of the full O(n^2) matrix.
-/// Shared with arena/incremental.cpp so both evaluation paths materialise
-/// byte-identical rows. Distinct rows may be requested concurrently (the
-/// parallel sweep workers each own their sources); the graph and `table`
-/// must outlive the object and stay unchanged while it is in use.
+/// Shared with arena/incremental.cpp (whose candidate evaluations call the
+/// same rank core into reusable per-worker rows), so both evaluation paths
+/// materialise byte-identical rows. Distinct rows may be requested
+/// concurrently (the parallel sweep workers each own their sources); the
+/// graph and `table` must outlive the object and stay unchanged while it
+/// is in use.
 class lazy_prob_rows {
  public:
   /// `active` restricts the receiver universe to masked-in nodes
@@ -209,11 +222,13 @@ class utility_provider {
 
   /// The r^-s table every p_trans row of an n-node graph reads. Built on
   /// first use and rebuilt only when a larger graph needs more ranks, then
-  /// read-only while rows are built — so, like the ledgers below, it
-  /// assumes one evaluating caller at a time.
+  /// read-only while rows are built. Building is not thread-safe: callers
+  /// that read rows from several threads (the candidate pool) fetch the
+  /// table once before they dispatch.
   [[nodiscard]] const dist::zipf_table& rank_table(std::size_t n) const;
 
-  /// Backend the provider would use for an n-node graph (threshold switch).
+  /// Backend the provider would use for an n-node graph (threshold switch;
+  /// evaluate() and node_scores() add the provider's pool to it).
   [[nodiscard]] graph::betweenness_options backend_for(std::size_t n) const;
   [[nodiscard]] bool sampled_at(std::size_t n) const {
     return n > options_.exact_threshold;
@@ -254,6 +269,21 @@ class utility_provider {
     return dag_cache_;
   }
 
+  /// The provider's pool: threads - 1 workers plus the calling thread,
+  /// started on first use and joined by the destructor. evaluate() and
+  /// node_scores() sweep on it (graph::betweenness_options::pool), and the
+  /// incremental mode dispatches one oracle call's candidates to it once
+  /// (arena/incremental.h). One caller at a time.
+  [[nodiscard]] worker_pool& pool() const;
+
+  /// Reusable evaluation scratch for the incremental mode, one entry per
+  /// pool participant (index 0 is the calling thread); defined and sized
+  /// in arena/incremental.cpp.
+  [[nodiscard]] std::vector<std::shared_ptr<evaluation_scratch>>&
+  mutable_scratch() const noexcept {
+    return scratch_;
+  }
+
  private:
   topology::game_params params_;
   provider_options options_;
@@ -263,6 +293,9 @@ class utility_provider {
   mutable sweep_stats stats_;
   mutable std::shared_ptr<base_dag_cache> dag_cache_;
   mutable dist::zipf_table rank_table_;
+  mutable std::vector<std::shared_ptr<evaluation_scratch>> scratch_;
+  // Last, so its workers are joined before the state above is destroyed.
+  mutable std::unique_ptr<worker_pool> pool_;
 };
 
 }  // namespace lcg::arena

@@ -80,9 +80,14 @@ zipf_table::zipf_table(double s, std::size_t max_rank)
 }
 
 std::vector<std::size_t> in_degrees(const graph::digraph& g) {
-  std::vector<std::size_t> deg(g.node_count());
-  for (graph::node_id v = 0; v < g.node_count(); ++v) deg[v] = g.in_degree(v);
+  std::vector<std::size_t> deg;
+  in_degrees(g, deg);
   return deg;
+}
+
+void in_degrees(const graph::digraph& g, std::vector<std::size_t>& deg) {
+  deg.resize(g.node_count());
+  for (graph::node_id v = 0; v < g.node_count(); ++v) deg[v] = g.in_degree(v);
 }
 
 std::vector<double> rank_factors(const std::vector<std::size_t>& degrees,
@@ -98,17 +103,25 @@ std::vector<double> sender_row(const graph::digraph& g,
                                graph::node_id u, const zipf_table& table,
                                rank_basis basis,
                                const std::vector<char>* active) {
+  std::vector<double> p;
+  sender_row(g, in_deg, u, table, basis, active, p);
+  return p;
+}
+
+void sender_row(const graph::digraph& g, const std::vector<std::size_t>& in_deg,
+                graph::node_id u, const zipf_table& table, rank_basis basis,
+                const std::vector<char>* active, std::vector<double>& p) {
   const std::size_t n = g.node_count();
   LCG_EXPECTS(g.has_node(u));
   LCG_EXPECTS(in_deg.size() == n);
   LCG_EXPECTS(active == nullptr || active->size() == n);
-  std::vector<double> p(n, 0.0);
+  p.assign(n, 0.0);
   // A departed sender generates no demand at all: betweenness sweeps may
   // still pick it as a source (it is a node of the shared graph), and an
   // all-zero row makes its contribution vanish instead of tripping.
   if (active != nullptr && !(*active)[u]) {
     finish_row(p, 0.0);
-    return p;
+    return;
   }
 
   // drop_sender_edges ranks on V' = G minus u's channels: a receiver v != u
@@ -130,7 +143,6 @@ std::vector<double> sender_row(const graph::digraph& g,
     return v != u && (active == nullptr || (*active)[v]);
   };
   finish_row(p, block_masses(deg, n, ranked, table, p.data()));
-  return p;
 }
 
 std::vector<double> transaction_probabilities(const graph::digraph& g,

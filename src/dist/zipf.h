@@ -72,6 +72,8 @@ class zipf_table {
 /// keep_sender_edges basis, and the drop_sender_edges one once the
 /// sender's out-edges are subtracted (sender_row does that per row).
 [[nodiscard]] std::vector<std::size_t> in_degrees(const graph::digraph& g);
+/// in_degrees(g) into `deg`, reusing its storage.
+void in_degrees(const graph::digraph& g, std::vector<std::size_t>& deg);
 
 /// Zipf mass per entry of `degrees` under competition ranking with averaged
 /// ties: sorting degrees descending, the i-th distinct block of size k
@@ -90,6 +92,10 @@ class zipf_table {
     const graph::digraph& g, const std::vector<std::size_t>& in_deg,
     graph::node_id u, const zipf_table& table, rank_basis basis,
     const std::vector<char>* active = nullptr);
+/// sender_row(...) into `p`, reusing its storage.
+void sender_row(const graph::digraph& g, const std::vector<std::size_t>& in_deg,
+                graph::node_id u, const zipf_table& table, rank_basis basis,
+                const std::vector<char>* active, std::vector<double>& p);
 
 /// p_trans(u, .) over all nodes of `g`: the normalised rank factors of the
 /// other nodes (p[u] == 0), ranked by in-degree on the basis graph.

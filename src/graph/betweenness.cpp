@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
-#include <exception>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include "graph/traversal.h"
 #include "obs/registry.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace lcg::graph {
 
@@ -87,7 +86,8 @@ void merge(const source_contribution& c, double scale,
 std::size_t effective_threads(const betweenness_options& options,
                               std::size_t source_count) {
   if (options.backend == betweenness_backend::serial) return 1;
-  std::size_t threads = options.threads != 0
+  std::size_t threads = options.pool != nullptr ? options.pool->size()
+                        : options.threads != 0
                             ? options.threads
                             : std::max(1u, std::thread::hardware_concurrency());
   return std::min(std::max<std::size_t>(threads, 1), source_count);
@@ -100,7 +100,8 @@ std::size_t effective_threads(const betweenness_options& options,
 /// bit-identical to the threads == 1 path.
 void run_sweeps(const csr_graph& c, const std::vector<node_id>& sources,
                 const pair_weight_fn& w, double scale, std::size_t threads,
-                std::vector<double>* node_acc, std::vector<double>* edge_acc) {
+                worker_pool* pool, std::vector<double>* node_acc,
+                std::vector<double>* edge_acc) {
   const bool want_edges = edge_acc != nullptr;
   if (threads <= 1) {
     source_contribution one;
@@ -111,67 +112,31 @@ void run_sweeps(const csr_graph& c, const std::vector<node_id>& sources,
     return;
   }
 
-  // Chunked two-phase schedule over one persistent pool: each chunk's
-  // contributions are computed concurrently, then merged by this thread in
-  // ascending source order while the workers wait at a barrier. Bounds peak
-  // memory to chunk_size per-source buffers without respawning threads per
-  // chunk. A worker exception is captured, the remaining work is skipped
-  // (workers keep the barrier cadence so nothing deadlocks), and the first
-  // exception rethrows on the caller's thread — the same observable
-  // behaviour as the serial backend.
+  // Chunked two-phase schedule over one pool (the caller's, or one started
+  // for this call): each chunk's contributions are computed concurrently,
+  // then merged by this thread in ascending source order. Bounds peak
+  // memory to chunk_size per-source buffers. A worker exception rethrows
+  // on the caller's thread once its chunk has finished — the same
+  // observable behaviour as the serial backend.
+  std::optional<worker_pool> own;
+  worker_pool& workers = pool != nullptr ? *pool : own.emplace(threads - 1);
   const std::size_t chunk_size = threads * 8;
   std::vector<source_contribution> slots(
       std::min(chunk_size, sources.size()));
-  const std::size_t chunks = (sources.size() + chunk_size - 1) / chunk_size;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::barrier sync(static_cast<std::ptrdiff_t>(threads) + 1);
-
-  const auto worker = [&]() {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const std::size_t begin = chunk * chunk_size;
-      const std::size_t end = std::min(begin + chunk_size, sources.size());
-      try {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= end) break;
-          compute_contribution(c, sources[i], w, want_edges,
-                               slots[i - begin]);
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
+  for (std::size_t begin = 0; begin < sources.size(); begin += chunk_size) {
+    const std::size_t end = std::min(begin + chunk_size, sources.size());
+    std::atomic<std::size_t> cursor{begin};
+    workers.run([&](std::size_t) {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= end) return;
+        compute_contribution(c, sources[i], w, want_edges, slots[i - begin]);
       }
-      sync.arrive_and_wait();  // chunk computed
-      sync.arrive_and_wait();  // chunk merged (and cursor reset) below
+    });
+    for (std::size_t i = begin; i < end; ++i) {
+      merge(slots[i - begin], scale, node_acc, edge_acc);
     }
-  };
-
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const std::size_t begin = chunk * chunk_size;
-      const std::size_t end = std::min(begin + chunk_size, sources.size());
-      sync.arrive_and_wait();  // wait for the compute phase
-      if (!failed.load(std::memory_order_relaxed)) {
-        for (std::size_t i = begin; i < end; ++i) {
-          merge(slots[i - begin], scale, node_acc, edge_acc);
-        }
-      }
-      // Workers may have over-incremented the cursor racing past `end`;
-      // rewind it before releasing them into the next chunk.
-      cursor.store(end, std::memory_order_relaxed);
-      sync.arrive_and_wait();  // release the workers
-    }
-  }  // join
-  if (first_error) std::rethrow_exception(first_error);
+  }
 }
 
 /// Sources and unbiased rescaling factor for one computation: the full
@@ -276,8 +241,19 @@ betweenness_result weighted_betweenness(const csr_graph& c,
   auto [sources, scale] = select_sources(c.node_count(), options, invalid_node);
   count_swept_sources(options.backend, sources.size());
   run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
-             &result.node, &result.edge);
+             options.pool, &result.node, &result.edge);
   return result;
+}
+
+std::vector<double> weighted_node_betweenness(
+    const csr_graph& c, const pair_weight_fn& w,
+    const betweenness_options& options) {
+  std::vector<double> node(c.node_count(), 0.0);
+  auto [sources, scale] = select_sources(c.node_count(), options, invalid_node);
+  count_swept_sources(options.backend, sources.size());
+  run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
+             options.pool, &node, nullptr);
+  return node;
 }
 
 betweenness_result weighted_betweenness(const digraph& g,
@@ -304,7 +280,7 @@ double node_betweenness_of(const csr_graph& c, node_id u,
   auto [sources, scale] = select_sources(c.node_count(), options, u);
   count_swept_sources(options.backend, sources.size());
   run_sweeps(c, sources, w, scale, effective_threads(options, sources.size()),
-             &node_acc, nullptr);
+             options.pool, &node_acc, nullptr);
   return node_acc[u];
 }
 

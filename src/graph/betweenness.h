@@ -66,6 +66,10 @@
 
 #include "graph/digraph.h"
 
+namespace lcg {
+class worker_pool;  // util/worker_pool.h
+}  // namespace lcg
+
 namespace lcg::graph {
 
 /// Weight of the ordered pair (s, t); typically N_s * p_trans(s, t).
@@ -91,6 +95,10 @@ struct betweenness_options {
   std::size_t sample_pivots = 0;
   /// Sampled backend: seed of the pivot stream (splitmix64-expanded).
   std::uint64_t rng_seed = 0;
+  /// Parallel/sampled: a caller-owned pool to sweep on, whose size then
+  /// replaces `threads`; null starts a pool of `threads` for the call and
+  /// joins it before returning. Never changes results.
+  worker_pool* pool = nullptr;
 };
 
 /// Parses "serial" / "parallel" / "sampled"; throws precondition_error on
@@ -126,6 +134,12 @@ class csr_graph;  // graph/csr.h
 /// weighted_betweenness(freeze(g), w, options).
 [[nodiscard]] betweenness_result weighted_betweenness(
     const digraph& g, const pair_weight_fn& w,
+    const betweenness_options& options = {});
+
+/// weighted_betweenness(c, w, options).node, bit for bit, without the
+/// per-edge bookkeeping.
+[[nodiscard]] std::vector<double> weighted_node_betweenness(
+    const csr_graph& c, const pair_weight_fn& w,
     const betweenness_options& options = {});
 
 /// Unweighted betweenness (w == 1 for every ordered pair).

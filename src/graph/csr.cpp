@@ -35,14 +35,23 @@ struct view_metrics {
 }  // namespace
 
 csr_graph freeze(const digraph& g) {
+  csr_graph c;
+  freeze(g, c);
+  return c;
+}
+
+void freeze(const digraph& g, csr_graph& c) {
   obs::scoped_timer timer(view_metrics::get().freeze_seconds);
   view_metrics::get().freeze.add();
   const std::size_t n = g.node_count();
-  csr_graph c;
   c.node_count_ = n;
   c.edge_slots_ = g.edge_slots();
   c.row_.assign(n + 1, 0);
   const std::size_t m = g.edge_count();
+  c.col_.clear();
+  c.src_.clear();
+  c.cap_.clear();
+  c.orig_.clear();
   c.col_.reserve(m);
   c.src_.reserve(m);
   c.cap_.reserve(m);
@@ -59,7 +68,6 @@ csr_graph freeze(const digraph& g) {
     c.row_[v + 1] = static_cast<csr_graph::packed_id>(c.col_.size());
   }
   LCG_ENSURES(c.col_.size() == m);
-  return c;
 }
 
 digraph thaw(const csr_graph& c) {

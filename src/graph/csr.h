@@ -105,7 +105,7 @@ class csr_graph {
            a.orig_ == b.orig_;
   }
 
-  friend csr_graph freeze(const digraph& g);
+  friend void freeze(const digraph& g, csr_graph& out);
 
  private:
   std::size_t node_count_ = 0;
@@ -119,6 +119,10 @@ class csr_graph {
 
 /// O(n + m) flat snapshot of the active edges, per-node order preserved.
 [[nodiscard]] csr_graph freeze(const digraph& g);
+
+/// freeze(g) into `out`, reusing its storage: a loop that re-freezes one
+/// graph per step allocates nothing once `out` has grown to size.
+void freeze(const digraph& g, csr_graph& out);
 
 /// Mutable digraph with the SAME topology, capacities and per-node
 /// adjacency order as the view. Edge ids are compacted to the packed

@@ -59,6 +59,13 @@ class digraph {
   /// Reactivates a previously removed edge.
   void restore_edge(edge_id e);
 
+  /// Makes room for `slots` edge slots, so that adding edges, or assigning
+  /// a graph with up to that many slots, does not reallocate the edge
+  /// table.
+  void reserve_edges(std::size_t slots) { edges_.reserve(slots); }
+  /// Edge slots the table holds without reallocating.
+  std::size_t edge_capacity() const noexcept { return edges_.capacity(); }
+
   std::size_t node_count() const noexcept { return out_.size(); }
   /// Count of *active* edges.
   std::size_t edge_count() const noexcept { return active_edges_; }

@@ -2,30 +2,37 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "graph/csr.h"
 
 namespace lcg::graph {
 
 std::vector<std::int32_t> bfs_distances(const csr_graph& c, node_id src) {
+  std::vector<std::int32_t> dist;
+  std::vector<node_id> queue;
+  bfs_distances(c, src, dist, queue);
+  return dist;
+}
+
+void bfs_distances(const csr_graph& c, node_id src,
+                   std::vector<std::int32_t>& dist,
+                   std::vector<node_id>& queue) {
   LCG_EXPECTS(c.has_node(src));
-  std::vector<std::int32_t> dist(c.node_count(), unreachable);
-  std::queue<node_id> frontier;
+  dist.assign(c.node_count(), unreachable);
+  queue.clear();
+  queue.reserve(c.node_count());
   dist[src] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const node_id v = frontier.front();
-    frontier.pop();
+  queue.push_back(src);
+  for (std::size_t popped = 0; popped < queue.size(); ++popped) {
+    const node_id v = queue[popped];
     for (csr_graph::packed_id k = c.row_begin(v); k < c.row_end(v); ++k) {
       const node_id w = c.edge_dst(k);
       if (dist[w] == unreachable) {
         dist[w] = dist[v] + 1;
-        frontier.push(w);
+        queue.push_back(w);
       }
     }
   }
-  return dist;
 }
 
 std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
@@ -33,13 +40,21 @@ std::vector<std::int32_t> bfs_distances(const digraph& g, node_id src) {
 }
 
 sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
+  sp_dag r;
+  std::vector<dag_edge> found;
+  shortest_path_dag(c, src, r, found);
+  return r;
+}
+
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& r,
+                       std::vector<dag_edge>& found) {
   LCG_EXPECTS(c.has_node(src));
   const std::size_t n = c.node_count();
-  sp_dag r;
   r.dist.assign(n, unreachable);
   r.sigma.assign(n, 0.0);
+  r.order.clear();
   r.order.reserve(n);
-  std::vector<dag_edge> found;
+  found.clear();
   found.reserve(c.edge_count());
   r.dist[src] = 0;
   r.sigma[src] = 1.0;
@@ -62,7 +77,6 @@ sp_dag shortest_path_dag(const csr_graph& c, node_id src) {
     }
   }
   group_by_head(n, found, r.pred_begin, r.pred_edge);
-  return r;
 }
 
 void group_by_head(std::size_t n, const std::vector<dag_edge>& found,

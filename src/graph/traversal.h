@@ -33,6 +33,12 @@ inline constexpr std::int32_t unreachable = -1;
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const csr_graph& c,
                                                       node_id src);
 
+/// bfs_distances(c, src) into `dist`, with `queue` as the FIFO; both keep
+/// their storage across calls.
+void bfs_distances(const csr_graph& c, node_id src,
+                   std::vector<std::int32_t>& dist,
+                   std::vector<node_id>& queue);
+
 /// bfs_distances(freeze(g), src): hop distances over g's active edges.
 [[nodiscard]] std::vector<std::int32_t> bfs_distances(const digraph& g,
                                                       node_id src);
@@ -73,6 +79,11 @@ struct sp_dag {
 
 /// One DAG edge as a sweep discovers it: (head node, edge key).
 using dag_edge = std::pair<node_id, edge_id>;
+
+/// shortest_path_dag(c, src) into `out`, with `found` as the discovery
+/// buffer; both keep their storage across calls.
+void shortest_path_dag(const csr_graph& c, node_id src, sp_dag& out,
+                       std::vector<dag_edge>& found);
 
 /// Stable counting sort of `found` (discovery order) by head into the flat
 /// pred_begin / pred_edge arrays of an n-node DAG, O(n + |found|). Stability

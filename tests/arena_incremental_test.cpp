@@ -3,16 +3,25 @@
 // must be BITWISE identical to mode=full — same moves with the same utility
 // doubles, same logical evaluation count, same outcome — while performing
 // strictly fewer effective source-sweeps. DESIGN.md §8 documents why this
-// holds (affected-source predicate, pruning soundness).
+// holds (affected-source predicate, pruning soundness). The thread budget
+// is a second axis of the same contract: candidates evaluated on the
+// provider's pool reproduce the one-thread run, its sweep ledger and its
+// obs counters bit for bit (§8.4).
 
 #include "arena/incremental.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "arena/engine.h"
+#include "arena/population.h"
+#include "dist/param_sampler.h"
 #include "graph/generators.h"
+#include "obs/registry.h"
 #include "topology/dynamics.h"
 #include "util/rng.h"
 
@@ -121,6 +130,39 @@ TEST(IncrementalMode, SweepLedgerAccountsEveryPath) {
   EXPECT_GT(full.sweeps.full_sweeps, inc.sweeps.full_sweeps);
 }
 
+TEST(IncrementalMode, LedgerPinsTheSerialSchedule) {
+  // The ledger counts what evaluating the candidates one after another
+  // does. These values were recorded from that one-thread loop; the pool's
+  // replay must credit exactly them at every thread count.
+  const graph::digraph start = make_start("ws", 20, 99);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    topology::game_params params;
+    params.l = 1.5;
+    arena_options options;
+    options.oracle = oracle_kind::local;
+    options.max_rounds = 8;
+    options.seed = 5;
+    options.oracle_opts.candidate_k = 3;
+    options.oracle_opts.candidate_random = 1;
+    options.oracle_opts.max_channels = 3;
+    options.provider.exact_threshold = 0;
+    options.provider.pivots = 8;
+    options.provider.seed = 5 ^ 0x7c63f8d1905bb7a3ULL;
+    options.provider.mode = provider_mode::incremental;
+    options.provider.threads = threads;
+    const arena_result r = run_arena(start, params, options);
+    EXPECT_EQ(r.evaluations, 4717u);
+    EXPECT_EQ(r.sweeps.full_sweeps, 64u);
+    EXPECT_EQ(r.sweeps.forest, 702u);
+    EXPECT_EQ(r.sweeps.resweeps, 6032u);
+    EXPECT_EQ(r.sweeps.accumulations, 2453u);
+    EXPECT_EQ(r.sweeps.support_bfs, 5784u);
+    EXPECT_EQ(r.sweeps.pruned, 2638u);
+    EXPECT_EQ(r.sweeps.truncated, 1435u);
+  }
+}
+
 TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
   // Direct per-candidate equivalence, independent of the engine: every
   // candidate own-set the local oracle would enumerate evaluates to the
@@ -158,6 +200,248 @@ TEST(IncrementalMode, EvaluatorMatchesProviderPerCandidate) {
           << "set size " << set.size() << " threshold " << threshold;
     }
     EXPECT_EQ(full.evaluations(), inc.evaluations());
+  }
+}
+
+// --- thread-count invariance (DESIGN.md §8.4) ------------------------------
+
+/// Everything a run observes: the population result, its sweep ledger and
+/// the obs counter deltas it caused.
+struct observed_run {
+  population_result result;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+std::map<std::string, std::uint64_t> counter_values() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : obs::registry::global().snapshot().counters)
+    out[name] = value;
+  return out;
+}
+
+observed_run run_observed(const graph::digraph& start,
+                          const population_options& popts) {
+  topology::game_params params;
+  params.l = 1.5;
+  const std::map<std::string, std::uint64_t> before = counter_values();
+  observed_run run;
+  run.result = run_population(start, params, popts);
+  for (const auto& [name, value] : counter_values()) {
+    const auto it = before.find(name);
+    const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (delta != 0) run.counters[name] = delta;
+  }
+  return run;
+}
+
+void expect_equal_ledgers(const sweep_stats& a, const sweep_stats& b) {
+  EXPECT_EQ(a.full_sweeps, b.full_sweeps);
+  EXPECT_EQ(a.forest, b.forest);
+  EXPECT_EQ(a.resweeps, b.resweeps);
+  EXPECT_EQ(a.accumulations, b.accumulations);
+  EXPECT_EQ(a.support_bfs, b.support_bfs);
+  EXPECT_EQ(a.pruned, b.pruned);
+  EXPECT_EQ(a.truncated, b.truncated);
+}
+
+TEST(ParallelCandidates, ThreadCountNeverChangesRunsLedgersOrCounters) {
+  // Both oracles over the three populations of bench_arena (static,
+  // heterogeneous, churning), at provider.threads 1, 2, 3 and 8. Every
+  // observable of the one-thread run must repeat bit for bit, and so must
+  // every obs counter except arena/speculative_sweep, the one counter of
+  // work beyond the serial schedule.
+  obs::registry::global().enable(true);
+  const std::size_t n = 24;
+  const graph::digraph ws = make_start("ws", n, 11);
+  // The churning population starts with 16 players wired as a ws core and
+  // 8 isolated spare slots.
+  const std::size_t initial = 16;
+  const graph::digraph core = make_start("ws", initial, 12);
+  graph::digraph churn_start(n);
+  for (const topology::channel_pair& ch : topology::channel_pairs(core))
+    churn_start.add_bidirectional(ch.a, ch.b);
+
+  for (const oracle_kind oracle : {oracle_kind::local, oracle_kind::greedy}) {
+    for (const std::string family : {"static", "hetero", "churn"}) {
+      SCOPED_TRACE(std::string(oracle_name(oracle)) + " " + family);
+      population_options popts;
+      popts.base.oracle = oracle;
+      popts.base.max_rounds = 8;
+      popts.base.seed = 31;
+      popts.base.oracle_opts.candidate_k = 3;
+      popts.base.oracle_opts.candidate_random = 1;
+      popts.base.oracle_opts.max_channels = 3;
+      popts.base.provider.mode = provider_mode::incremental;
+      popts.base.provider.exact_threshold = 0;  // sampled, 8 pivots
+      popts.base.provider.pivots = 8;
+      popts.base.provider.seed = 77;
+      const graph::digraph* start = &ws;
+      if (family == "hetero") {
+        dist::cost_param_specs specs;
+        specs.a = {dist::param_dist::lognormal, 1.0, 0.5};
+        specs.b = {dist::param_dist::lognormal, 1.0, 0.5};
+        specs.l = {dist::param_dist::lognormal, 1.5, 0.5};
+        rng stream(5);
+        popts.player_params = dist::draw_population(specs, n, stream);
+        popts.base.provider.exact_threshold = 192;  // exact backend
+      } else if (family == "churn") {
+        popts.initial_players = initial;
+        popts.churn = make_churn_schedule(n, initial, 4, 4, 4, 9);
+        popts.track_ledger = true;
+        start = &churn_start;
+      }
+
+      popts.base.provider.threads = 1;
+      const observed_run serial = run_observed(*start, popts);
+      EXPECT_GT(serial.result.base.sweeps.resweeps, 0u);
+      if (oracle == oracle_kind::local) {
+        EXPECT_GT(serial.result.base.sweeps.pruned, 0u);
+      }
+      EXPECT_EQ(serial.counters.count("arena/speculative_sweep"), 0u)
+          << "one thread runs exactly the serial schedule";
+      for (const std::size_t threads : {2, 3, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        popts.base.provider.threads = threads;
+        observed_run parallel = run_observed(*start, popts);
+        expect_equal_runs(serial.result.base, parallel.result.base);
+        expect_equal_ledgers(serial.result.base.sweeps,
+                             parallel.result.base.sweeps);
+        EXPECT_EQ(serial.result.joins, parallel.result.joins);
+        EXPECT_EQ(serial.result.leaves, parallel.result.leaves);
+        EXPECT_EQ(serial.result.active, parallel.result.active);
+        EXPECT_EQ(serial.result.ledger.deposited,
+                  parallel.result.ledger.deposited);
+        EXPECT_EQ(serial.result.ledger.refunded,
+                  parallel.result.ledger.refunded);
+        parallel.counters.erase("arena/speculative_sweep");
+        EXPECT_EQ(serial.counters, parallel.counters);
+      }
+      // The obs mirrors of the ledger agree with it.
+      const sweep_stats& st = serial.result.base.sweeps;
+      const auto counter = [&](const char* name) {
+        const auto it = serial.counters.find(name);
+        return it == serial.counters.end() ? std::uint64_t{0} : it->second;
+      };
+      EXPECT_EQ(counter("arena/resweep_source"), st.resweeps);
+      EXPECT_EQ(counter("arena/accumulate_source"), st.accumulations);
+      EXPECT_EQ(counter("arena/run_support_bfs"), st.support_bfs);
+      EXPECT_EQ(counter("arena/prune_candidate"), st.pruned);
+      EXPECT_EQ(counter("arena/truncate_merge"), st.truncated);
+    }
+  }
+  obs::registry::global().enable(false);
+}
+
+TEST(ParallelCandidates, ConcurrentListReplaysTheSerialThresholdLoop) {
+  // evaluate_in_order against the loop it stands for: set_threshold, then
+  // evaluate, one candidate after another, with the thresholds an accept
+  // callback derives from the values seen so far. The thresholds are
+  // planned from the candidates' exact utilities so that the best
+  // candidate sits EXACTLY at its threshold, duplicate sets tie, the
+  // threshold climbs past most candidates (pruning and truncating them)
+  // and never falls. Values, accept calls and the sweep ledger must match
+  // the loop bit for bit at every thread count.
+  topology::game_params params;
+  params.l = 1.5;
+  const graph::digraph start = make_start("ws", 40, 21);
+  const strategy_state state(start);
+  const graph::node_id u = 7;
+  const std::vector<graph::node_id> own = state.owned(u);
+  ASSERT_GE(own.size(), 2u);
+  const std::vector<graph::node_id> adds = {0, 15, 22, 30, 36};
+  std::vector<std::vector<graph::node_id>> sets;
+  for (const graph::node_id a : adds) {
+    std::vector<graph::node_id> set = own;
+    set.push_back(a);
+    std::sort(set.begin(), set.end());
+    sets.push_back(set);
+    sets.push_back(set);  // a tie with the previous candidate
+    std::vector<graph::node_id> drop = set;
+    drop.erase(drop.begin());
+    sets.push_back(drop);
+  }
+
+  provider_options options;
+  options.mode = provider_mode::incremental;
+  options.exact_threshold = 0;
+  options.pivots = 12;
+  options.seed = 3;
+
+  // Exact utilities (no threshold, so no pruning), in list order.
+  std::vector<double> exact;
+  double base = 0.0;
+  {
+    const utility_provider provider(params, options);
+    candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
+    base = evaluator.base_value();
+    for (const auto& set : sets) exact.push_back(evaluator.evaluate(set));
+  }
+  // The thresholds climb through the exact values seen so far, except
+  // that the best candidate's value is raised one step early, so that the
+  // best candidate sits exactly at its threshold and everything after it
+  // is at or below the threshold.
+  const std::size_t best = static_cast<std::size_t>(
+      std::max_element(exact.begin() + 1, exact.end()) - exact.begin());
+  const double first_threshold =
+      *std::min_element(exact.begin(), exact.end()) - 1.0;
+  const auto next_threshold = [&](std::size_t i, double current) {
+    return std::max(current, exact[i + 1 == best ? best : i]);
+  };
+
+  struct outcome {
+    std::vector<double> values;
+    sweep_stats ledger;
+  };
+  const auto loop = [&] {
+    const utility_provider provider(params, options);
+    candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
+    EXPECT_EQ(evaluator.base_value(), base);
+    outcome out;
+    double threshold = first_threshold;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      evaluator.set_threshold(threshold);
+      out.values.push_back(evaluator.evaluate(sets[i]));
+      threshold = next_threshold(i, threshold);
+    }
+    out.ledger = provider.stats();
+    return out;
+  };
+  const auto in_order = [&](std::size_t threads) {
+    provider_options threaded = options;
+    threaded.threads = threads;
+    const utility_provider provider(params, threaded);
+    candidate_evaluator evaluator(provider, state.graph(), u, own, adds);
+    EXPECT_EQ(evaluator.base_value(), base);
+    outcome out;
+    double threshold = first_threshold;
+    evaluator.evaluate_in_order(sets, threshold, [&](std::size_t i,
+                                                     double value) {
+      EXPECT_EQ(i, out.values.size()) << "accept calls run in list order";
+      out.values.push_back(value);
+      threshold = next_threshold(i, threshold);
+      return threshold;
+    });
+    out.ledger = provider.stats();
+    return out;
+  };
+
+  const outcome want = loop();
+  ASSERT_EQ(want.values.size(), sets.size());
+  EXPECT_GT(want.ledger.pruned, 0u);
+  EXPECT_GT(want.ledger.truncated, 0u);
+  EXPECT_EQ(want.values[0], want.values[1]) << "duplicate sets tie";
+  EXPECT_EQ(want.values[best], exact[best])
+      << "a candidate exactly at its threshold is evaluated, not pruned";
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Repeated, so that different interleavings get a chance to differ.
+    for (int rep = 0; rep < 5; ++rep) {
+      const outcome got = in_order(threads);
+      ASSERT_EQ(got.values.size(), want.values.size());
+      for (std::size_t i = 0; i < want.values.size(); ++i)
+        EXPECT_EQ(got.values[i], want.values[i]) << "candidate " << i;
+      expect_equal_ledgers(got.ledger, want.ledger);
+    }
   }
 }
 

@@ -361,6 +361,26 @@ TEST(RankCoreBitwise, LazyRowsMatchSortAndPow) {
   }
 }
 
+TEST(RankCoreBitwise, RowsIntoReusedStorageMatchSortAndPow) {
+  // The arena's candidate evaluations build rows into one buffer per
+  // worker, graph after graph: nothing of the previous row may survive.
+  std::vector<std::size_t> deg;
+  std::vector<double> row;
+  for (const corpus_graph& c : rank_corpus()) {
+    const std::size_t n = c.g.node_count();
+    const zipf_table table(1.0, n);
+    in_degrees(c.g, deg);
+    EXPECT_EQ(deg, in_degrees(c.g)) << c.name;
+    for (const rank_basis basis : kBases) {
+      for (graph::node_id u = 0; u < n; ++u) {
+        sender_row(c.g, deg, u, table, basis, nullptr, row);
+        expect_bitwise(row, naive::row(c.g, u, 1.0, basis, nullptr),
+                       c.name + " u=" + std::to_string(u));
+      }
+    }
+  }
+}
+
 TEST(RankCoreBitwise, NewcomerAndRankFactorsMatchSortAndPow) {
   for (const corpus_graph& c : rank_corpus())
     for (const double s : kExponents)

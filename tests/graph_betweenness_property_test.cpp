@@ -34,6 +34,7 @@
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace lcg::graph {
 namespace {
@@ -187,6 +188,8 @@ TEST(BetweennessProperty, SerialMatchesNaiveReference) {
 }
 
 TEST(BetweennessProperty, ParallelIsBitIdenticalToSerial) {
+  // One caller-owned pool serves every sweep that names it.
+  worker_pool pool(3);
   for (const corpus_case& c : build_corpus()) {
     const csr_graph frozen = freeze(c.g);
     const betweenness_result serial = weighted_betweenness(frozen, c.w);
@@ -197,6 +200,15 @@ TEST(BetweennessProperty, ParallelIsBitIdenticalToSerial) {
       expect_bitwise_result(weighted_betweenness(frozen, c.w, options), serial,
                             c.name + " threads=" + std::to_string(threads));
     }
+    betweenness_options pooled;
+    pooled.backend = betweenness_backend::parallel;
+    pooled.pool = &pool;
+    expect_bitwise_result(weighted_betweenness(frozen, c.w, pooled), serial,
+                          c.name + " on a caller's pool");
+    // The node-only sweep is the same accumulation without edge records.
+    EXPECT_EQ(weighted_node_betweenness(frozen, c.w), serial.node) << c.name;
+    EXPECT_EQ(weighted_node_betweenness(frozen, c.w, pooled), serial.node)
+        << c.name << " on a caller's pool";
     // The sampled backend's estimate is independent of its thread count.
     betweenness_options sampled_one;
     sampled_one.backend = betweenness_backend::sampled;

@@ -170,6 +170,37 @@ TEST(GraphCsr, FreezeEqualityDetectsToggles) {
   EXPECT_EQ(before, freeze(g));  // restore puts the slot back in place
 }
 
+TEST(GraphCsr, FreezeAndSweepsIntoReusedStorageMatchFreshOnes) {
+  // The storage-reusing overloads keep nothing of the previous graph: a
+  // large graph, then a small one, then a different large one, through the
+  // same buffers, equal a fresh freeze, BFS and DAG every time.
+  rng gen(17);
+  const std::vector<digraph> graphs = {
+      watts_strogatz(60, 6, 0.2, gen), path_graph(5),
+      erdos_renyi(40, 0.2, gen)};
+  csr_graph c;
+  std::vector<std::int32_t> dist;
+  std::vector<node_id> queue;
+  sp_dag dag;
+  std::vector<dag_edge> found;
+  for (const digraph& g : graphs) {
+    freeze(g, c);
+    EXPECT_TRUE(c == freeze(g));
+    EXPECT_EQ(c.srcs(), freeze(g).srcs());
+    for (node_id s = 0; s < g.node_count(); ++s) {
+      bfs_distances(c, s, dist, queue);
+      EXPECT_EQ(dist, bfs_distances(c, s));
+      shortest_path_dag(c, s, dag, found);
+      const sp_dag fresh = shortest_path_dag(c, s);
+      EXPECT_EQ(dag.dist, fresh.dist);
+      EXPECT_EQ(dag.sigma, fresh.sigma);
+      EXPECT_EQ(dag.pred_begin, fresh.pred_begin);
+      EXPECT_EQ(dag.pred_edge, fresh.pred_edge);
+      EXPECT_EQ(dag.order, fresh.order);
+    }
+  }
+}
+
 TEST(GraphCsr, ShortestPathDagMatchesDigraphAdjacencyReference) {
   rng gen(17);
   digraph g = erdos_renyi(40, 0.15, gen, 1.0);
